@@ -2,13 +2,21 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-faults test-store test-batch test-resilience check check-programs lint bench perf-smoke profile examples artifacts clean
+.PHONY: install test test-pipeline test-faults test-store test-batch test-resilience check check-programs lint bench perf-smoke profile examples artifacts clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# The stage-sequence slice: every caller of the pipeline's one stage
+# sequence (compile, checkpointed resume, batch jobs, fault repair) in
+# minutes rather than the full tier-1 run.
+test-pipeline:
+	$(PYTHON) -m pytest tests/test_pipeline*.py tests/test_store_resume.py \
+		tests/test_batch*.py tests/test_faults_e2e.py \
+		tests/test_obs_pipeline.py tests/test_resilience_engine.py
 
 # The robustness slice: fault models, schedule repair, solver degradation.
 test-faults:

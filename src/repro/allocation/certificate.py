@@ -22,7 +22,13 @@ from repro.allocation.formulation import ConvexAllocationProblem
 from repro.allocation.result import Allocation
 from repro.errors import SolverError
 
-__all__ = ["KKTCertificate", "certify_allocation"]
+__all__ = ["CERTIFIED_STATIONARITY_TOL", "KKTCertificate", "certify_allocation"]
+
+#: Stationarity residual under which the pipeline and the batch solve cache
+#: accept a stored or resumed allocation as optimal. It matches the loosest
+#: tolerance the certificate tests use: NNLS residuals grow slightly with
+#: transfer-heavy graphs.
+CERTIFIED_STATIONARITY_TOL = 1e-3
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """High-throughput batch compilation with structural reuse.
 
-:class:`BatchCompiler` pushes many pipeline jobs (compile -> allocate ->
-schedule -> optionally simulate) through a worker pool, with two reuse
-layers on top of :mod:`repro.store`:
+:class:`BatchCompiler` pushes many pipeline jobs through a worker pool.
+Each job runs the pipeline's one stage sequence (:mod:`repro.pipeline`:
+allocate -> schedule -> codegen -> optionally simulate), with two reuse
+layers on top of :mod:`repro.store` as its allocate step:
 
 * **Structural solve cache** — each compiled convex program is hashed by
   its exact structure (see :mod:`repro.batch.structural`); a hit returns
@@ -111,16 +112,6 @@ def _resolve_machine(job: BatchJob):
     return factory(job.processors)
 
 
-def _resolve_fidelity(fidelity):
-    from repro.machine.fidelity import HardwareFidelity
-
-    if not isinstance(fidelity, str):
-        return fidelity  # a HardwareFidelity passed by a library caller
-    if fidelity == "cm5":
-        return HardwareFidelity.cm5_like()
-    return HardwareFidelity.ideal()
-
-
 def _allocation_payload(problem, allocation) -> dict[str, Any]:
     """The scale-free stored form of a solved allocation."""
     solver = allocation.info.get("solver", {})
@@ -176,17 +167,22 @@ def _allocation_from_payload(problem, payload: dict[str, Any]):
     )
 
 
-def _load_or_solve(task: _WorkerTask, problem, normalized, machine, result):
+def _load_or_solve(task: _WorkerTask, normalized, machine, result):
     """The allocation stage with structural-cache and warm-start reuse.
 
     Fills ``result.cache`` / ``result.warm_start`` / key fields in place
     and returns the :class:`~repro.allocation.result.Allocation`.
     """
-    from repro.allocation.certificate import certify_allocation
+    from repro.allocation.certificate import (
+        CERTIFIED_STATIONARITY_TOL,
+        certify_allocation,
+    )
+    from repro.allocation.formulation import ConvexAllocationProblem
     from repro.allocation.solver import ConvexSolverOptions, solve_allocation
     from repro.batch.structural import layout_key, structural_key
     from repro.store import ArtifactStore
 
+    problem = ConvexAllocationProblem(normalized, machine)
     store = None
     if task.cache_dir is not None:
         store = ArtifactStore(task.cache_dir, strict=task.strict)
@@ -208,7 +204,9 @@ def _load_or_solve(task: _WorkerTask, problem, normalized, machine, result):
                 store.quarantine(path, reason=f"batch payload rejected: {exc}")
                 result.cache = "poisoned"
             else:
-                if certificate.is_optimal(stationarity_tol=1e-3):
+                if certificate.is_optimal(
+                    stationarity_tol=CERTIFIED_STATIONARITY_TOL
+                ):
                     result.cache = "hit"
                     return allocation
                 store.quarantine(
@@ -297,6 +295,8 @@ def _execute_job(task: _WorkerTask, on_stage=None) -> dict[str, Any]:
 
 
 def _execute_job_body(task: _WorkerTask, on_stage=None) -> dict[str, Any]:
+    from repro.machine.fidelity import HardwareFidelity
+    from repro.pipeline import _run_stages
     from repro.resilience.deadline import Deadline, deadline_scope
 
     job = task.job
@@ -318,35 +318,29 @@ def _execute_job_body(task: _WorkerTask, on_stage=None) -> dict[str, Any]:
             enter("resolve")
             mdg = _resolve_mdg(job.source)
             machine = _resolve_machine(job)
-            normalized = mdg.normalized()
-
-            if job.style == "SPMD":
-                from repro.pipeline import compile_spmd
-
-                enter("allocate")
-                compilation = compile_spmd(normalized, machine)
-                allocation = compilation.allocation
-                schedule = compilation.schedule
-                program = compilation.program
-            else:
-                from repro.allocation.formulation import ConvexAllocationProblem
-                from repro.codegen.mpmd import generate_mpmd_program
-                from repro.scheduling.psa import prioritized_schedule
-
-                problem = ConvexAllocationProblem(normalized, machine)
-                enter("allocate")
-                allocation = _load_or_solve(
-                    task, problem, normalized, machine, result
-                )
-                enter("schedule")
-                schedule = prioritized_schedule(
-                    normalized, allocation.processors, machine, job.psa
-                )
-                enter("codegen")
-                program = generate_mpmd_program(schedule, machine)
-
+            fidelity = (
+                HardwareFidelity.named(job.fidelity)
+                if isinstance(job.fidelity, str)
+                else job.fidelity
+            )
+            # task.strict governs the structural store; post-conditions
+            # only warn, since a cache hit is already KKT-certified by
+            # _load_or_solve and must not be certified twice.
+            run = _run_stages(
+                mdg,
+                machine,
+                style=job.style,
+                allocate=lambda normalized: _load_or_solve(
+                    task, normalized, machine, result
+                ),
+                psa_options=job.psa,
+                simulate=job.simulate,
+                fidelity=fidelity,
+                on_stage=enter,
+            )
+            allocation = run.compilation.allocation
             result.phi = allocation.phi
-            result.predicted_makespan = schedule.makespan
+            result.predicted_makespan = run.compilation.predicted_makespan
             result.processors = {
                 k: float(v) for k, v in allocation.processors.items()
             }
@@ -356,14 +350,8 @@ def _execute_job_body(task: _WorkerTask, on_stage=None) -> dict[str, Any]:
             attempts = allocation.info.get("attempts")
             if isinstance(attempts, (list, tuple)):
                 result.solver_attempts = len(attempts)
-
-            if job.simulate:
-                from repro.sim.engine import MachineSimulator
-
-                enter("simulate")
-                simulator = MachineSimulator(_resolve_fidelity(job.fidelity))
-                sim = simulator.run(program, record_trace=False)
-                result.measured_makespan = sim.makespan
+            if run.simulation is not None:
+                result.measured_makespan = run.simulation.makespan
             result.ok = True
             result.stage = "done"
     except Exception as exc:  # noqa: BLE001 - per-job isolation by design

@@ -34,6 +34,7 @@ from typing import Any, Iterator
 
 from repro.allocation.solver import ConvexSolverOptions
 from repro.errors import IngestError
+from repro.machine.fidelity import FIDELITY_NAMES
 from repro.scheduling.psa import PSAOptions
 
 __all__ = [
@@ -51,7 +52,6 @@ _JOB_FIELDS = frozenset(
     {"id", "program", "graph", "n", "machine", "processors", "simulate",
      "fidelity"}
 )
-_FIDELITIES = ("ideal", "cm5")
 
 
 @dataclass(frozen=True)
@@ -218,9 +218,9 @@ def _iter_job_problems(
                 f"try: {sorted(PRESETS)}"
             )
     fidelity = entry.get("fidelity")
-    if fidelity is not None and fidelity not in _FIDELITIES:
+    if fidelity is not None and fidelity not in FIDELITY_NAMES:
         yield (
-            f"{path}.fidelity: fidelity: must be one of {_FIDELITIES}, "
+            f"{path}.fidelity: fidelity: must be one of {FIDELITY_NAMES}, "
             f"got {fidelity!r}"
         )
     simulate = entry.get("simulate")

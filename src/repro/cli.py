@@ -39,7 +39,7 @@ from repro.faults import FaultSpec, load_fault_spec
 from repro.graph.serialization import load_mdg
 from repro.machine.fidelity import HardwareFidelity
 from repro.machine.presets import PRESETS
-from repro.pipeline import compile_mdg, compile_spmd, measure, run_resumable
+from repro.pipeline import ResumableRun, _run_stages, compile_mdg, run_resumable
 from repro.programs import DEFAULT_SIZES, PROGRAM_FACTORIES
 from repro.programs.common import ProgramBundle
 from repro.utils.tables import format_table
@@ -94,10 +94,10 @@ def _fault_spec(args: argparse.Namespace) -> FaultSpec | None:
     return spec
 
 
-def _cache_options(args: argparse.Namespace) -> dict | None:
-    """Checkpoint-store kwargs for :func:`run_resumable`, or None (no cache).
+def _cache_options(args: argparse.Namespace) -> dict:
+    """Checkpoint-store kwargs for :func:`run_resumable`.
 
-    ``--cache-dir`` switches the run onto the checkpointed pipeline;
+    ``--cache-dir`` files every stage to the checkpoint store;
     ``--no-cache`` wins over it; ``--resume`` additionally *reads* valid
     artifacts back (without it the run only writes checkpoints).
     """
@@ -107,8 +107,6 @@ def _cache_options(args: argparse.Namespace) -> dict | None:
         cache_dir = None
     if resume and cache_dir is None:
         raise SystemExit("--resume requires --cache-dir (and not --no-cache)")
-    if cache_dir is None:
-        return None
     return {
         "cache_dir": cache_dir,
         "resume": resume,
@@ -136,29 +134,39 @@ def _emit_program_if_requested(args: argparse.Namespace, result) -> None:
     print(f"wrote program artifact to {path}")
 
 
-def _preflight_if_requested(args: argparse.Namespace, mdg, machine) -> None:
-    """Run the pre-flight gate for paths that bypass ``compile_mdg``."""
-    flags = _check_flags(args)
-    if flags["check"] or flags["check_strict"]:
-        from repro.check import preflight_check
+def _fidelity(name: str) -> HardwareFidelity:
+    try:
+        return HardwareFidelity.named(name)
+    except ReproError as exc:
+        raise SystemExit(str(exc)) from exc
 
-        preflight_check(
-            mdg, machine, strict=flags["check_strict"], artifact=f"mdg:{mdg.name}"
+
+def _run_pipeline(
+    args: argparse.Namespace, bundle: ProgramBundle, machine, **stages
+) -> ResumableRun:
+    """Run the selected program through the stage sequence.
+
+    ``--spmd`` compiles the SPMD baseline (never checkpointed); MPMD runs
+    go through :func:`run_resumable`, which files stages only when
+    ``--cache-dir`` names a store.
+    """
+    cache = _cache_options(args)  # rejects --resume without a store, --spmd too
+    if args.spmd:
+        return _run_stages(
+            bundle.mdg, machine, style="SPMD", **_check_flags(args), **stages
         )
-
-
-def _print_provenance(run) -> None:
+    run = run_resumable(
+        bundle.mdg,
+        machine,
+        solver_options=_solver_options(args),
+        **cache,
+        **_check_flags(args),
+        **stages,
+    )
     resumed = run.resumed_stages
     if resumed:
         print(f"resumed from cache   : {', '.join(resumed)}")
-
-
-def _fidelity(name: str) -> HardwareFidelity:
-    if name == "ideal":
-        return HardwareFidelity.ideal()
-    if name == "cm5":
-        return HardwareFidelity.cm5_like()
-    raise SystemExit(f"unknown fidelity {name!r}; try: ideal, cm5")
+    return run
 
 
 def cmd_info(_args: argparse.Namespace) -> int:
@@ -171,33 +179,7 @@ def cmd_info(_args: argparse.Namespace) -> int:
 def cmd_compile(args: argparse.Namespace) -> int:
     bundle = _bundle(args)
     machine = _machine(args)
-    cache = _cache_options(args)
-    if args.spmd:
-        _preflight_if_requested(args, bundle.mdg, machine)
-        result = compile_spmd(
-            bundle.mdg,
-            machine,
-            verify_program=bool(getattr(args, "verify_program", False)),
-        )
-    elif cache is not None:
-        run = run_resumable(
-            bundle.mdg,
-            machine,
-            simulate=False,
-            solver_options=_solver_options(args),
-            **cache,
-            **_check_flags(args),
-        )
-        result = run.compilation
-        _print_provenance(run)
-    else:
-        result = compile_mdg(
-            bundle.mdg,
-            machine,
-            solver_options=_solver_options(args),
-            strict=bool(getattr(args, "strict", False)),
-            **_check_flags(args),
-        )
+    result = _run_pipeline(args, bundle, machine, simulate=False).compilation
     _emit_program_if_requested(args, result)
     print(f"{result.style} compilation of {bundle.name} on {machine.name} "
           f"(p={machine.processors})")
@@ -223,38 +205,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     bundle = _bundle(args)
     machine = _machine(args)
     faults = _fault_spec(args)
-    cache = _cache_options(args)
-    repair = None
-    if args.spmd:
-        _preflight_if_requested(args, bundle.mdg, machine)
-        result = compile_spmd(
-            bundle.mdg,
-            machine,
-            verify_program=bool(getattr(args, "verify_program", False)),
-        )
-        sim = measure(result, _fidelity(args.fidelity), faults=faults)
-    elif cache is not None:
-        run = run_resumable(
-            bundle.mdg,
-            machine,
-            fidelity=_fidelity(args.fidelity),
-            faults=faults,
-            solver_options=_solver_options(args),
-            record_trace=bool(args.gantt),
-            **cache,
-            **_check_flags(args),
-        )
-        result, sim, repair = run.compilation, run.simulation, run.repair
-        _print_provenance(run)
-    else:
-        result = compile_mdg(
-            bundle.mdg,
-            machine,
-            solver_options=_solver_options(args),
-            strict=bool(getattr(args, "strict", False)),
-            **_check_flags(args),
-        )
-        sim = measure(result, _fidelity(args.fidelity), faults=faults)
+    run = _run_pipeline(
+        args,
+        bundle,
+        machine,
+        simulate=True,
+        fidelity=_fidelity(args.fidelity),
+        faults=faults,
+        # The trace feeds the Gantt chart and the utilization gauge; a
+        # checkpointed run records it only when it is printed, because
+        # it is filed inside the simulation artifact.
+        record_trace=bool(args.gantt) or _cache_options(args)["cache_dir"] is None,
+    )
+    result, sim, repair = run.compilation, run.simulation, run.repair
     _emit_program_if_requested(args, result)
     print(f"{result.style} {bundle.name} on {machine.name} (p={machine.processors})")
     print(f"predicted : {result.predicted_makespan:.6g} s")
@@ -263,19 +226,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if faults is not None:
         print(f"fault seed: {faults.seed}")
         if sim.halted:
-            failed = sim.failed_processors
-            print(f"HALTED    : lost processor(s) {list(failed)}; "
+            print(f"HALTED    : lost processor(s) {list(sim.failed_processors)}; "
                   f"{len(sim.info['unfinished_nodes'])} node(s) unfinished")
-            if repair is None:
-                from repro.faults import repair_schedule
-
-                repair = repair_schedule(
-                    result.schedule,
-                    machine,
-                    failed_processors=failed,
-                    completed_nodes=sim.info["completed_nodes"],
-                    failure_time=sim.makespan,
-                )
             report = repair.report
             print(f"repaired  : {report.repaired_makespan:.6g} s on "
                   f"{len(report.survivors)} survivors "
@@ -352,14 +304,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     from repro.graph.dot import mdg_to_dot
-    from repro.pipeline import compile_mdg as _compile
 
     bundle = _bundle(args)
     mdg = bundle.mdg.normalized()
     allocation = None
     if args.allocated:
         machine = _machine(args)
-        allocation = _compile(mdg, machine).schedule.allocation()
+        allocation = compile_mdg(mdg, machine).schedule.allocation()
     text = mdg_to_dot(mdg, allocation=allocation)
     if args.output:
         from pathlib import Path
@@ -380,12 +331,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
     try:
         bundle = _bundle(args)
         machine = _machine(args)
-        result = (
-            compile_spmd(bundle.mdg, machine)
-            if args.spmd
-            else compile_mdg(bundle.mdg, machine, solver_options=_solver_options(args))
+        run = _run_pipeline(
+            args,
+            bundle,
+            machine,
+            simulate=True,
+            fidelity=_fidelity(args.fidelity),
+            faults=_fault_spec(args),
+            record_trace=True,
         )
-        sim = measure(result, _fidelity(args.fidelity), faults=_fault_spec(args))
+        result, sim = run.compilation, run.simulation
         save_chrome_trace(
             sim.trace,
             args.output,
@@ -406,9 +361,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     mdg = load_mdg(args.mdg)
     machine = _machine(args)
-    from repro.allocation import solve_allocation
-
-    allocation = solve_allocation(mdg.normalized(), machine)
+    allocation = compile_mdg(mdg, machine).allocation
     print(f"Phi = {allocation.phi:.6g} s on {machine.name} (p={machine.processors})")
     rows = sorted(allocation.processors.items())
     print(format_table(["node", "processors (continuous)"], rows))
@@ -613,15 +566,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     jobs = load_manifest(
         manifest, solver=_solver_options(args), psa=None
     )
-    cache_dir = None if args.no_cache else args.cache_dir
-    if args.resume and cache_dir is None:
-        raise SystemExit("--resume requires --cache-dir (and not --no-cache)")
     compiler = BatchCompiler(
-        workers=args.workers,
-        cache_dir=cache_dir,
-        resume=args.resume,
-        strict=bool(getattr(args, "strict", False)),
-        deadline_seconds=args.deadline,
+        workers=args.workers, deadline_seconds=args.deadline, **_cache_options(args)
     )
     resilient = bool(args.resilient or args.chaos is not None)
     if resilient:

@@ -27,9 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.utils.validation import check_non_negative
 
-__all__ = ["HardwareFidelity"]
+__all__ = ["FIDELITY_NAMES", "HardwareFidelity"]
+
+#: The fidelity presets a CLI flag or batch manifest may name.
+FIDELITY_NAMES = ("ideal", "cm5")
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,20 @@ class HardwareFidelity:
             compute_curvature=0.08,
             startup_serialization=0.25,
             jitter=0.01,
+        )
+
+    @staticmethod
+    def named(name: str) -> "HardwareFidelity":
+        """The preset called ``name`` (one of :data:`FIDELITY_NAMES`).
+
+        Raises :class:`~repro.errors.ReproError` for any other name.
+        """
+        if name == "ideal":
+            return HardwareFidelity.ideal()
+        if name == "cm5":
+            return HardwareFidelity.cm5_like()
+        raise ReproError(
+            f"unknown fidelity {name!r}; try: {', '.join(FIDELITY_NAMES)}"
         )
 
     @property

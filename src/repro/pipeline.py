@@ -1,15 +1,26 @@
 """The end-to-end compilation pipeline (Section 1.2's five steps).
 
-``compile_mdg`` chains the paper's machinery: convex allocation, PSA
-scheduling (with rounding/bounding), and MPMD code generation — returning
-everything a caller needs to simulate, inspect, or compare the result.
-``measure`` replays the generated program on the machine simulator.
-``execute_with_faults`` runs the full degraded-machine story: simulate
-under a fault spec, repair the schedule when processors die, re-execute
-values on the survivors, and verify the answer is still right.
-``run_resumable`` is the crash-safe variant: every stage output is frozen
-to a content-addressed artifact store, so a run killed at any point can be
-re-issued and picks up from its last completed stage.
+The paper's compiler is one stage sequence, written once here in
+:func:`_run_stages`: normalize → allocate (convex program) → schedule
+(PSA) → post-conditions → codegen → optional ``verify_program`` gate →
+simulate → repair if the simulated machine lost processors. Every stage
+gets its ``obs`` span, its cooperative deadline check and an ``on_stage``
+callback; given an artifact store, the normalized MDG, allocation,
+schedule and simulation are also checkpointed.
+
+Three callers run that sequence:
+
+* :func:`compile_mdg` stops after codegen: no store, no simulation.
+  :func:`execute_bundle` and :func:`execute_with_faults` add simulation
+  (and repair) and then value-execute the program on the machine.
+* :func:`run_resumable` is the crash-safe variant: every stage output is
+  frozen to a content-addressed artifact store, so a run killed at any
+  point can be re-issued and picks up from its last completed stage.
+* Batch jobs (:mod:`repro.batch.compiler`) use the structural solve cache
+  as the allocate step and stamp each stage into their lease.
+
+:func:`compile_spmd` is the separate, two-stage SPMD baseline, and
+:func:`measure` replays a compiled program on the machine simulator.
 """
 
 from __future__ import annotations
@@ -17,10 +28,15 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro import obs
 from repro.obs.prof import hot as _hot
+from repro.allocation.certificate import (
+    CERTIFIED_STATIONARITY_TOL,
+    certify_allocation,
+)
+from repro.allocation.formulation import ConvexAllocationProblem
 from repro.allocation.result import ALLOCATION_SCHEMA_VERSION, Allocation
 from repro.allocation.solver import ConvexSolverOptions, solve_allocation
 from repro.codegen.mpmd import generate_mpmd_program
@@ -31,6 +47,12 @@ from repro.faults.injector import FaultInjector
 from repro.faults.recovery import ScheduleRepair, repair_schedule
 from repro.faults.spec import FaultSpec
 from repro.graph.mdg import MDG
+from repro.graph.serialization import mdg_to_dict
+from repro.io.results import (
+    SCHEDULE_SCHEMA_VERSION,
+    schedule_from_dict,
+    schedule_to_dict,
+)
 from repro.machine.fidelity import HardwareFidelity
 from repro.machine.parameters import MachineParameters
 from repro.resilience.deadline import check_deadline
@@ -38,6 +60,7 @@ from repro.scheduling.baselines import spmd_schedule
 from repro.scheduling.psa import PSAOptions, prioritized_schedule
 from repro.scheduling.schedule import Schedule
 from repro.sim.engine import MachineSimulator, SimulationResult
+from repro.store import ArtifactStore, content_hash
 
 __all__ = [
     "CompilationResult",
@@ -93,6 +116,8 @@ def check_postconditions(
     ``certify=True`` (used whenever a stage was *resumed from an artifact*
     rather than freshly computed, and in strict compilations) the convex
     allocation is additionally re-certified through its KKT certificate.
+    An analytic-fallback allocation is never a certified optimum and is
+    reported as such rather than run through the certificate.
 
     Every failed check emits a ``pipeline.postcondition`` warning event;
     under ``strict=True`` the first batch of failures raises
@@ -103,28 +128,26 @@ def check_postconditions(
         f"schedule.validate: {problem}" for problem in schedule.validation_errors()
     ]
 
-    convex_methods = {"trust-constr", "slsqp", "auto"}
-    if (
-        certify
-        and allocation.phi is not None
-        and allocation.info.get("method", "trust-constr") in convex_methods
-    ):
-        try:
-            from repro.allocation.certificate import certify_allocation
-            from repro.allocation.formulation import ConvexAllocationProblem
-
-            problem = ConvexAllocationProblem(mdg, machine)
-            cert = certify_allocation(problem, allocation)
-            # 1e-3 matches the loosest tolerance the certificate tests use:
-            # NNLS residuals grow slightly with transfer-heavy graphs.
-            if not cert.is_optimal(stationarity_tol=1e-3):
-                problems.append(
-                    "allocation certificate: stationarity residual "
-                    f"{cert.stationarity_residual:.3g}, max violation "
-                    f"{cert.max_violation:.3g} — not a certified optimum"
-                )
-        except ReproError as exc:
-            problems.append(f"allocation certificate: {exc}")
+    # The solver flags a fallback with info["fallback"]; unlike the
+    # info["solver"] record, that flag survives Allocation.to_dict, so
+    # resumed allocations carry it too.
+    if certify and allocation.phi is not None:
+        if allocation.info.get("fallback"):
+            problems.append(
+                "allocation is the analytic fallback, not a certified optimum"
+            )
+        else:
+            try:
+                problem = ConvexAllocationProblem(mdg, machine)
+                cert = certify_allocation(problem, allocation)
+                if not cert.is_optimal(stationarity_tol=CERTIFIED_STATIONARITY_TOL):
+                    problems.append(
+                        "allocation certificate: stationarity residual "
+                        f"{cert.stationarity_residual:.3g}, max violation "
+                        f"{cert.max_violation:.3g} — not a certified optimum"
+                    )
+            except ReproError as exc:
+                problems.append(f"allocation certificate: {exc}")
 
     if problems:
         obs.counter("pipeline.postcondition.failed").inc(len(problems))
@@ -191,47 +214,16 @@ def compile_mdg(
     :class:`~repro.errors.CheckError` on error-severity findings before
     the program reaches the simulator or executor.
     """
-    if check or check_strict:
-        from repro.check import preflight_check
-
-        preflight_check(
-            mdg, machine, strict=check_strict, artifact=f"mdg:{mdg.name}"
-        )
-    with obs.span(
-        "compile", style="MPMD", machine=machine.name, processors=machine.processors
-    ) as compile_span:
-        with _hot("mdg.normalize"):
-            normalized = mdg.normalized()
-        compile_span.set_attr("nodes", normalized.n_nodes)
-        check_deadline("allocate")
-        with obs.span("allocate") as sp:
-            allocation = solve_allocation(normalized, machine, solver_options)
-            sp.set_attr("phi", allocation.phi)
-        check_deadline("schedule")
-        with obs.span("schedule") as sp:
-            schedule = prioritized_schedule(
-                normalized, allocation.processors, machine, psa_options
-            )
-            sp.set_attr("makespan", schedule.makespan)
-        check_deadline("codegen")
-        with obs.span("codegen") as sp:
-            program = generate_mpmd_program(schedule, machine)
-            sp.set_attr("instructions", program.n_instructions)
-        if verify_program:
-            _verify_program(program, schedule, machine, f"mdg:{mdg.name}")
-        with _hot("pipeline.postconditions"):
-            check_postconditions(
-                normalized, machine, allocation, schedule,
-                strict=strict, certify=strict,
-            )
-    return CompilationResult(
-        mdg=normalized,
-        machine=machine,
-        allocation=allocation,
-        schedule=schedule,
-        program=program,
-        style="MPMD",
-    )
+    return _run_stages(
+        mdg,
+        machine,
+        psa_options=psa_options,
+        solver_options=solver_options,
+        strict=strict,
+        check=check,
+        check_strict=check_strict,
+        verify_program=verify_program,
+    ).compilation
 
 
 def compile_spmd(
@@ -287,6 +279,37 @@ class BundleExecution:
         return self.value_report.locality_fraction()
 
 
+def _execute_values(bundle, run: "ResumableRun", faults, verify: bool):
+    """Value-execute ``bundle`` on the processors ``run`` placed it on.
+
+    Nodes the repair rescheduled run on their *new* (surviving)
+    processors; every other node keeps its compiled placement. With
+    ``verify=True`` each node's distributed result is checked against
+    the sequential reference.
+    """
+    from repro.runtime.executor import ValueExecutor
+    from repro.runtime.verify import verify_against_reference
+
+    repair = run.repair
+    repaired_names = (
+        set(repair.report.rescheduled_nodes) if repair is not None else set()
+    )
+    groups: dict[str, int] = {}
+    placement: dict[str, tuple[int, ...]] = {}
+    for name in bundle.app.computational_nodes():
+        if name in repaired_names and repair.physical_schedule is not None:
+            entry = repair.physical_schedule.entry(name)
+        else:
+            entry = run.compilation.schedule.entry(name)
+        groups[name] = entry.width
+        placement[name] = entry.processors
+    report = ValueExecutor(bundle.app).run(groups, placement, faults=faults)
+    if verify:
+        with obs.span("verify", recovered=repair is not None):
+            verify_against_reference(bundle.app, report)
+    return report
+
+
 def execute_bundle(
     bundle,
     machine: MachineParameters,
@@ -301,25 +324,14 @@ def execute_bundle(
     program; with ``verify=True`` (default) every node's distributed
     result is checked against the sequential reference.
     """
-    from repro.runtime.executor import ValueExecutor
-    from repro.runtime.verify import verify_against_reference
-
     with obs.span("execute_bundle", bundle=getattr(bundle, "name", "?")):
-        compilation = compile_mdg(bundle.mdg, machine, psa_options=psa_options)
-        simulation = measure(compilation, fidelity, record_trace=False)
-
-        groups: dict[str, int] = {}
-        placement: dict[str, tuple[int, ...]] = {}
-        for name in bundle.app.computational_nodes():
-            entry = compilation.schedule.entry(name)
-            groups[name] = entry.width
-            placement[name] = entry.processors
-        report = ValueExecutor(bundle.app).run(groups, placement)
-        if verify:
-            with obs.span("verify"):
-                verify_against_reference(bundle.app, report)
+        run = _run_stages(
+            bundle.mdg, machine, psa_options=psa_options, simulate=True,
+            fidelity=fidelity,
+        )
+        report = _execute_values(bundle, run, None, verify)
     return BundleExecution(
-        compilation=compilation, simulation=simulation, value_report=report
+        compilation=run.compilation, simulation=run.simulation, value_report=report
     )
 
 
@@ -411,9 +423,6 @@ def execute_with_faults(
     checks the distributed answer against the sequential reference, so a
     recovered run is demonstrably still correct.
     """
-    from repro.runtime.executor import ValueExecutor
-    from repro.runtime.verify import verify_against_reference
-
     if isinstance(faults, FaultInjector):
         spec = faults.spec
     elif isinstance(faults, FaultSpec):
@@ -429,48 +438,26 @@ def execute_with_faults(
         bundle=getattr(bundle, "name", "?"),
         fault_seed=spec.seed,
     ):
-        compilation = compile_mdg(bundle.mdg, machine, psa_options=psa_options)
-        simulation = measure(
-            compilation, fidelity, record_trace=record_trace, faults=faults
+        run = _run_stages(
+            bundle.mdg,
+            machine,
+            psa_options=psa_options,
+            simulate=True,
+            fidelity=fidelity,
+            faults=faults,
+            record_trace=record_trace,
+            repair_overhead=repair_overhead,
         )
-
-        repair: ScheduleRepair | None = None
-        if simulation.halted:
-            repair = repair_schedule(
-                compilation.schedule,
-                machine,
-                failed_processors=simulation.failed_processors,
-                completed_nodes=simulation.info.get("completed_nodes", ()),
-                failure_time=simulation.makespan,
-                psa_options=psa_options,
-                repair_overhead=repair_overhead,
-            )
-
-        groups: dict[str, int] = {}
-        placement: dict[str, tuple[int, ...]] = {}
-        repaired_names = (
-            set(repair.report.rescheduled_nodes) if repair is not None else set()
-        )
-        for name in bundle.app.computational_nodes():
-            if name in repaired_names and repair.physical_schedule is not None:
-                entry = repair.physical_schedule.entry(name)
-            else:
-                entry = compilation.schedule.entry(name)
-            groups[name] = entry.width
-            placement[name] = entry.processors
-        report = ValueExecutor(bundle.app).run(groups, placement, faults=faults)
-        if verify:
-            with obs.span("verify", recovered=repair is not None):
-                verify_against_reference(bundle.app, report)
+        report = _execute_values(bundle, run, faults, verify)
     return FaultedExecution(
-        compilation=compilation,
-        simulation=simulation,
-        repair=repair,
+        compilation=run.compilation,
+        simulation=run.simulation,
+        repair=run.repair,
         value_report=report,
     )
 
 
-# ----- crash-safe checkpointed pipeline -------------------------------------
+# ----- the stage sequence ----------------------------------------------------
 
 #: Stage schema versions. Bump one when its payload shape changes; cached
 #: artifacts written under the old version are treated as stale on resume.
@@ -513,13 +500,47 @@ def _machine_fingerprint(machine: MachineParameters) -> dict:
     }
 
 
+def _stage_keys(
+    normalized: MDG,
+    machine: MachineParameters,
+    solver_options: ConvexSolverOptions | None,
+    psa_options: PSAOptions | None,
+    fidelity: HardwareFidelity | None,
+    faults: FaultSpec | FaultInjector | None,
+    record_trace: bool,
+) -> dict[str, str]:
+    """The content-hash key each checkpointed stage kind is filed under."""
+    base = content_hash(
+        {
+            "mdg": mdg_to_dict(normalized),
+            "machine": _machine_fingerprint(machine),
+            "solver": _options_fingerprint(solver_options),
+            "psa": _options_fingerprint(psa_options),
+        }
+    )
+    spec = faults.spec if isinstance(faults, FaultInjector) else faults
+    sim = content_hash(
+        {
+            "base": base,
+            "fidelity": _options_fingerprint(fidelity),
+            "faults": spec.to_dict() if spec is not None else None,
+            "record_trace": bool(record_trace),
+        }
+    )
+    return {
+        "mdg": base, "allocation": base, "schedule": base,
+        "simulation": sim, "recovery": sim,
+    }
+
+
 @dataclass
 class ResumableRun:
-    """Everything :func:`run_resumable` produced, plus its provenance.
+    """Everything the stage sequence produced, plus its provenance.
 
     ``stage_sources`` maps each stage kind to ``"cache"`` (resumed from a
     valid artifact) or ``"computed"`` (ran this time); ``keys`` holds the
-    content-hash cache key each stage was filed under.
+    content-hash cache key each stage was filed under (empty when no
+    store was given).
     """
 
     compilation: CompilationResult
@@ -591,6 +612,204 @@ def _simulation_from_payload(payload: dict) -> SimulationResult:
     )
 
 
+def _run_stages(
+    mdg: MDG,
+    machine: MachineParameters,
+    *,
+    style: str = "MPMD",
+    allocate: Callable[[MDG], Allocation] | None = None,
+    solver_options: ConvexSolverOptions | None = None,
+    psa_options: PSAOptions | None = None,
+    strict: bool = False,
+    check: bool = False,
+    check_strict: bool = False,
+    verify_program: bool = False,
+    simulate: bool = False,
+    fidelity: HardwareFidelity | None = None,
+    faults: FaultSpec | FaultInjector | None = None,
+    record_trace: bool = False,
+    repair_overhead: float = 0.0,
+    store: ArtifactStore | None = None,
+    resume: bool = True,
+    on_stage: Callable[[str], None] | None = None,
+) -> ResumableRun:
+    """The compiler's one stage sequence; every pipeline entry point runs it.
+
+    ``allocate`` replaces the default convex solve (the batch structural
+    cache plugs in here); ``on_stage`` is called with each stage name as
+    the sequence enters it. ``style="SPMD"`` swaps the allocate-to-codegen
+    stages for :func:`compile_spmd`. Given a ``store``, every stage output
+    is filed to it and, with ``resume``, resumed from it.
+    """
+    if check or check_strict:
+        from repro.check import preflight_check
+
+        preflight_check(
+            mdg, machine, strict=check_strict, artifact=f"mdg:{mdg.name}"
+        )
+
+    sources: dict[str, str] = {}
+    keys: dict[str, str] = {}
+
+    def enter(stage: str) -> None:
+        check_deadline(stage)
+        if on_stage is not None:
+            on_stage(stage)
+
+    def load(kind: str, version: int, decode: Callable[[Any], Any]) -> Any:
+        """The stage's valid artifact, decoded, or None to compute it.
+
+        A payload the decoder rejects is reported as ``store.corrupt``
+        and recomputed (raised under a strict store), never trusted.
+        """
+        sources[kind] = "computed"
+        if store is None or not resume:
+            return None
+        artifact = store.load(kind, keys[kind], version)
+        if artifact is None:
+            return None
+        try:
+            value = decode(artifact.payload)
+        except (ReproError, KeyError, TypeError, ValueError) as exc:
+            if store.strict:
+                raise
+            obs.event(
+                "store.corrupt", kind=kind, reason=f"payload rejected: {exc}"
+            )
+            return None
+        sources[kind] = "cache"
+        return value
+
+    def save(kind: str, version: int, payload: Callable[[], Any], **meta) -> None:
+        if store is not None:
+            store.store(
+                kind, keys[kind], payload(), version, meta={"stage": kind, **meta}
+            )
+            _test_stall(kind)
+
+    if style == "SPMD":
+        enter("schedule")
+        compilation = compile_spmd(mdg, machine, verify_program=verify_program)
+    else:
+        with obs.span(
+            "compile", style="MPMD", machine=machine.name,
+            processors=machine.processors,
+        ) as compile_span:
+            with _hot("mdg.normalize"):
+                normalized = mdg.normalized()
+            compile_span.set_attr("nodes", normalized.n_nodes)
+            if store is not None:
+                keys = _stage_keys(
+                    normalized, machine, solver_options, psa_options,
+                    fidelity, faults, record_trace,
+                )
+            # The normalized MDG is cheap to recompute, but filing it makes
+            # a cache directory self-describing.
+            if load("mdg", MDG_STAGE_VERSION, lambda _payload: normalized) is None:
+                save(
+                    "mdg", MDG_STAGE_VERSION, lambda: mdg_to_dict(normalized),
+                    name=normalized.name,
+                )
+
+            allocation = load(
+                "allocation", ALLOCATION_SCHEMA_VERSION, Allocation.from_dict
+            )
+            if allocation is None:
+                enter("allocate")
+                with obs.span("allocate") as sp:
+                    if allocate is None:
+                        allocation = solve_allocation(
+                            normalized, machine, solver_options
+                        )
+                    else:
+                        allocation = allocate(normalized)
+                    sp.set_attr("phi", allocation.phi)
+                save("allocation", ALLOCATION_SCHEMA_VERSION, allocation.to_dict)
+
+            schedule = load("schedule", SCHEDULE_SCHEMA_VERSION, schedule_from_dict)
+            if schedule is None:
+                enter("schedule")
+                with obs.span("schedule") as sp:
+                    schedule = prioritized_schedule(
+                        normalized, allocation.processors, machine, psa_options
+                    )
+                    sp.set_attr("makespan", schedule.makespan)
+                save(
+                    "schedule", SCHEDULE_SCHEMA_VERSION,
+                    lambda: schedule_to_dict(schedule),
+                )
+
+            # Anything resumed from disk is re-certified before the
+            # pipeline builds on it.
+            resumed = [k for k in ("allocation", "schedule") if sources[k] == "cache"]
+            with _hot("pipeline.postconditions"):
+                check_postconditions(
+                    normalized,
+                    machine,
+                    allocation,
+                    schedule,
+                    strict=strict,
+                    certify=strict or bool(resumed),
+                    source=("resume:" + "+".join(resumed)) if resumed else "fresh",
+                )
+
+            # Codegen is deterministic and cheap — never checkpointed.
+            enter("codegen")
+            with obs.span("codegen") as sp:
+                program = generate_mpmd_program(schedule, machine)
+                sp.set_attr("instructions", program.n_instructions)
+            if verify_program:
+                _verify_program(program, schedule, machine, f"mdg:{mdg.name}")
+        compilation = CompilationResult(
+            mdg=normalized,
+            machine=machine,
+            allocation=allocation,
+            schedule=schedule,
+            program=program,
+            style="MPMD",
+        )
+
+    simulation: SimulationResult | None = None
+    repair: ScheduleRepair | None = None
+    if simulate:
+        simulation = load(
+            "simulation", SIMULATION_STAGE_VERSION, _simulation_from_payload
+        )
+        if simulation is None:
+            enter("simulate")
+            simulation = measure(
+                compilation, fidelity, record_trace=record_trace, faults=faults
+            )
+            save(
+                "simulation", SIMULATION_STAGE_VERSION,
+                lambda: _simulation_payload(simulation, record_trace),
+            )
+        if simulation.halted:
+            # Repair is recomputed even on resume (it is fast and needs
+            # live Schedule objects); its report is filed as the run's
+            # artifact of record.
+            repair = repair_schedule(
+                compilation.schedule,
+                machine,
+                failed_processors=simulation.failed_processors,
+                completed_nodes=simulation.info.get("completed_nodes", ()),
+                failure_time=simulation.makespan,
+                psa_options=psa_options,
+                repair_overhead=repair_overhead,
+            )
+            sources["recovery"] = "computed"
+            save("recovery", RECOVERY_STAGE_VERSION, repair.report.to_dict)
+
+    return ResumableRun(
+        compilation=compilation,
+        simulation=simulation,
+        repair=repair,
+        stage_sources=sources,
+        keys={kind: key for kind, key in keys.items() if kind in sources},
+        cache_dir=None,
+    )
+
+
 def run_resumable(
     mdg: MDG,
     machine: MachineParameters,
@@ -633,32 +852,9 @@ def run_resumable(
     generated program (send/recv matching, deadlock-freedom, schedule
     and cost consistency) before simulation.
     """
-    if check or check_strict:
-        from repro.check import preflight_check
-
-        preflight_check(
-            mdg, machine, strict=check_strict, artifact=f"mdg:{mdg.name}"
-        )
-    from repro.io.results import (
-        SCHEDULE_SCHEMA_VERSION,
-        schedule_from_dict,
-        schedule_to_dict,
-    )
-    from repro.graph.serialization import mdg_to_dict
-    from repro.store import ArtifactStore, content_hash
-
-    spec: FaultSpec | None
-    if isinstance(faults, FaultInjector):
-        spec = faults.spec
-    else:
-        spec = faults
-
     store = (
         ArtifactStore(cache_dir, strict=strict) if cache_dir is not None else None
     )
-    sources: dict[str, str] = {}
-    keys: dict[str, str] = {}
-
     with obs.span(
         "run_resumable",
         machine=machine.name,
@@ -666,198 +862,22 @@ def run_resumable(
         cached=store is not None,
         resume=resume,
     ):
-        normalized = mdg.normalized()
-        mdg_dict = mdg_to_dict(normalized)
-        base_key = content_hash(
-            {
-                "mdg": mdg_dict,
-                "machine": _machine_fingerprint(machine),
-                "solver": _options_fingerprint(solver_options),
-                "psa": _options_fingerprint(psa_options),
-            }
-        )
-        keys["mdg"] = keys["allocation"] = keys["schedule"] = base_key
-
-        # Stage 0: the lowered/normalized MDG itself (artifact of record;
-        # cheap to recompute, but its presence makes a cache directory
-        # self-describing).
-        sources["mdg"] = "computed"
-        if store is not None:
-            if resume and store.load("mdg", base_key, MDG_STAGE_VERSION) is not None:
-                sources["mdg"] = "cache"
-            else:
-                store.store(
-                    "mdg", base_key, mdg_dict, MDG_STAGE_VERSION,
-                    meta={"stage": "mdg", "name": normalized.name},
-                )
-
-        # Stage 1: convex allocation.
-        allocation: Allocation | None = None
-        sources["allocation"] = "computed"
-        if store is not None and resume:
-            artifact = store.load("allocation", base_key, ALLOCATION_SCHEMA_VERSION)
-            if artifact is not None:
-                try:
-                    allocation = Allocation.from_dict(artifact.payload)
-                    sources["allocation"] = "cache"
-                except ReproError as exc:
-                    if strict:
-                        raise
-                    obs.event(
-                        "store.corrupt",
-                        kind="allocation",
-                        reason=f"payload rejected: {exc}",
-                    )
-        if allocation is None:
-            check_deadline("allocate")
-            with obs.span("allocate") as sp:
-                allocation = solve_allocation(normalized, machine, solver_options)
-                sp.set_attr("phi", allocation.phi)
-            if store is not None:
-                store.store(
-                    "allocation",
-                    base_key,
-                    allocation.to_dict(),
-                    ALLOCATION_SCHEMA_VERSION,
-                    meta={"stage": "allocation"},
-                )
-        _test_stall("allocation")
-
-        # Stage 2: PSA schedule.
-        schedule: Schedule | None = None
-        sources["schedule"] = "computed"
-        if store is not None and resume:
-            artifact = store.load("schedule", base_key, SCHEDULE_SCHEMA_VERSION)
-            if artifact is not None:
-                try:
-                    schedule = schedule_from_dict(artifact.payload)
-                    sources["schedule"] = "cache"
-                except ReproError as exc:
-                    if strict:
-                        raise
-                    obs.event(
-                        "store.corrupt",
-                        kind="schedule",
-                        reason=f"payload rejected: {exc}",
-                    )
-        if schedule is None:
-            check_deadline("schedule")
-            with obs.span("schedule") as sp:
-                schedule = prioritized_schedule(
-                    normalized, allocation.processors, machine, psa_options
-                )
-                sp.set_attr("makespan", schedule.makespan)
-            if store is not None:
-                store.store(
-                    "schedule",
-                    base_key,
-                    schedule_to_dict(schedule),
-                    SCHEDULE_SCHEMA_VERSION,
-                    meta={"stage": "schedule"},
-                )
-        _test_stall("schedule")
-
-        # Post-conditions: anything resumed from disk is re-certified
-        # before the pipeline builds on it.
-        resumed = [k for k in ("allocation", "schedule") if sources[k] == "cache"]
-        check_postconditions(
-            normalized,
+        run = _run_stages(
+            mdg,
             machine,
-            allocation,
-            schedule,
+            solver_options=solver_options,
+            psa_options=psa_options,
             strict=strict,
-            certify=strict or bool(resumed),
-            source=("resume:" + "+".join(resumed)) if resumed else "fresh",
+            check=check,
+            check_strict=check_strict,
+            verify_program=verify_program,
+            simulate=simulate,
+            fidelity=fidelity,
+            faults=faults,
+            record_trace=record_trace,
+            repair_overhead=repair_overhead,
+            store=store,
+            resume=resume,
         )
-
-        # Codegen is deterministic and cheap — always recomputed.
-        check_deadline("codegen")
-        with obs.span("codegen"):
-            program = generate_mpmd_program(schedule, machine)
-        if verify_program:
-            _verify_program(program, schedule, machine, f"mdg:{mdg.name}")
-        compilation = CompilationResult(
-            mdg=normalized,
-            machine=machine,
-            allocation=allocation,
-            schedule=schedule,
-            program=program,
-            style="MPMD",
-        )
-
-        simulation: SimulationResult | None = None
-        repair: ScheduleRepair | None = None
-        if simulate:
-            sim_key = content_hash(
-                {
-                    "base": base_key,
-                    "fidelity": _options_fingerprint(fidelity),
-                    "faults": spec.to_dict() if spec is not None else None,
-                    "record_trace": bool(record_trace),
-                }
-            )
-            keys["simulation"] = sim_key
-            sources["simulation"] = "computed"
-            if store is not None and resume:
-                artifact = store.load(
-                    "simulation", sim_key, SIMULATION_STAGE_VERSION
-                )
-                if artifact is not None:
-                    try:
-                        simulation = _simulation_from_payload(artifact.payload)
-                        sources["simulation"] = "cache"
-                    except (ReproError, KeyError, TypeError, ValueError) as exc:
-                        if strict:
-                            raise
-                        obs.event(
-                            "store.corrupt",
-                            kind="simulation",
-                            reason=f"payload rejected: {exc}",
-                        )
-                        simulation = None
-            if simulation is None:
-                simulation = measure(
-                    compilation, fidelity, record_trace=record_trace, faults=faults
-                )
-                if store is not None:
-                    store.store(
-                        "simulation",
-                        sim_key,
-                        _simulation_payload(simulation, record_trace),
-                        SIMULATION_STAGE_VERSION,
-                        meta={"stage": "simulation"},
-                    )
-            _test_stall("simulation")
-
-            if simulation.halted:
-                # Repair is recomputed even on resume (it is fast and
-                # needs live Schedule objects); its report is checkpointed
-                # as the run's artifact of record.
-                repair = repair_schedule(
-                    compilation.schedule,
-                    machine,
-                    failed_processors=simulation.failed_processors,
-                    completed_nodes=simulation.info.get("completed_nodes", ()),
-                    failure_time=simulation.makespan,
-                    psa_options=psa_options,
-                    repair_overhead=repair_overhead,
-                )
-                keys["recovery"] = sim_key
-                sources["recovery"] = "computed"
-                if store is not None:
-                    store.store(
-                        "recovery",
-                        sim_key,
-                        repair.report.to_dict(),
-                        RECOVERY_STAGE_VERSION,
-                        meta={"stage": "recovery"},
-                    )
-
-    return ResumableRun(
-        compilation=compilation,
-        simulation=simulation,
-        repair=repair,
-        stage_sources=sources,
-        keys=keys,
-        cache_dir=str(cache_dir) if cache_dir is not None else None,
-    )
+    run.cache_dir = str(cache_dir) if cache_dir is not None else None
+    return run

@@ -253,3 +253,12 @@ def test_cli_batch_resume_requires_cache_dir(tmp_path):
     )
     with pytest.raises(SystemExit):
         main(["batch", str(path), "--resume"])
+
+
+def test_unknown_fidelity_name_fails_the_job():
+    # The name is resolved before the solve, so the job fails fast.
+    report = BatchCompiler().run([small_job(simulate=True, fidelity="cm5_like")])
+    (bad,) = report.results
+    assert not bad.ok
+    assert bad.error_type == "ReproError"
+    assert "cm5_like" in bad.error and "ideal, cm5" in bad.error

@@ -9,11 +9,13 @@ sweep must profile equivalently to a serial one.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro import obs
 from repro.batch import BatchCompiler, BatchJob
+from repro.check import check_file
 from repro.cli import main
 from repro.obs.bundle import JOB_SPAN, capture_bundle, merge_bundle
 from repro.obs.runlog import run_log_problems
@@ -37,11 +39,27 @@ def jobs():
     ]
 
 
-def run_batch(workers):
-    telemetry = obs.Telemetry(sinks=[obs.MemorySink()])
+def run_batch(workers, log_path):
+    """Run the simulated jobs, keeping events in memory and in a JSONL log."""
+    telemetry = obs.Telemetry(sinks=[obs.MemorySink(), obs.JsonlSink(log_path)])
     with obs.use(telemetry):
-        report = BatchCompiler(workers=workers).run(jobs())
+        report = BatchCompiler(workers=workers).run(
+            [replace(job, simulate=True) for job in jobs()]
+        )
+    telemetry.close()
     return telemetry, report
+
+
+@pytest.fixture(scope="module")
+def batch_logs(tmp_path_factory):
+    """One serial and one 2-worker run, shared by every test that only
+    reads their telemetry: ``{workers: (telemetry, report, log_path)}``."""
+    root = tmp_path_factory.mktemp("batch-logs")
+    runs = {}
+    for workers in (0, 2):
+        path = root / f"workers{workers}.jsonl"
+        runs[workers] = (*run_batch(workers, path), path)
+    return runs
 
 
 def span_names(telemetry):
@@ -134,10 +152,8 @@ class TestBundles:
 
 class TestSerialParallelEquivalence:
     @pytest.fixture(scope="class")
-    def both_runs(self):
-        serial = run_batch(workers=0)
-        parallel = run_batch(workers=4)
-        return serial, parallel
+    def both_runs(self, batch_logs):
+        return tuple(batch_logs[workers][:2] for workers in (0, 2))
 
     def test_all_jobs_succeed(self, both_runs):
         (_, serial_report), (_, parallel_report) = both_runs
@@ -230,3 +246,43 @@ class TestBatchCliFourWorkers:
             ), f"no convergence events for {job_id} in parent log"
         # The parent log is clean: repro check would find nothing.
         assert run_log_problems(events) == []
+
+
+STAGE_SPANS = {"allocate", "schedule", "codegen", "simulate"}
+
+
+class TestPerStageSpans:
+    """Batch jobs run the pipeline's stage sequence, so every merged job
+    subtree carries the same per-stage spans as a single compile."""
+
+    @pytest.fixture(scope="class")
+    def logs(self, batch_logs):
+        for _, report, _ in batch_logs.values():
+            assert report.n_failed == 0
+        return {workers: run[2] for workers, run in batch_logs.items()}
+
+    @staticmethod
+    def stage_spans_by_job(path):
+        by_job: dict[str, set[str]] = {}
+        for e in read_jsonl(path):
+            if e.get("type") == "span" and e.get("job") is not None:
+                by_job.setdefault(e["job"], set()).add(e["name"])
+        return by_job
+
+    def test_every_job_has_every_stage_span(self, logs):
+        for path in logs.values():
+            by_job = self.stage_spans_by_job(path)
+            assert set(by_job) == {"c16", "f16"}
+            for job_id, names in by_job.items():
+                assert JOB_SPAN in names
+                assert STAGE_SPANS <= names, (path.name, job_id, names)
+
+    def test_serial_and_pool_span_sets_equal(self, logs):
+        assert self.stage_spans_by_job(logs[0]) == self.stage_spans_by_job(
+            logs[2]
+        )
+
+    def test_repro_check_finds_nothing(self, logs):
+        for path in logs.values():
+            report = check_file(path)
+            assert len(report) == 0, report.render_text()
