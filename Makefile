@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-pipeline test-faults test-store test-batch test-resilience check check-programs lint bench perf-smoke profile examples artifacts clean
+.PHONY: install test test-pipeline test-comm test-faults test-store test-batch test-resilience check check-programs lint bench perf-smoke profile examples artifacts clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -17,6 +17,14 @@ test-pipeline:
 	$(PYTHON) -m pytest tests/test_pipeline*.py tests/test_store_resume.py \
 		tests/test_batch*.py tests/test_faults_e2e.py \
 		tests/test_obs_pipeline.py tests/test_resilience_engine.py
+
+# The program slice: the one program-document parser, the comm check
+# family, and the simulator loop that both the simulator and the COMM005
+# deadlock rule run on -- parser or interpreter drift fails here in
+# minutes rather than in the full tier-1 run.
+test-comm:
+	$(PYTHON) -m pytest tests/test_check_comm*.py tests/test_codegen_program.py \
+		tests/test_codegen.py tests/test_sim_engine.py tests/test_faults.py
 
 # The robustness slice: fault models, schedule repair, solver degradation.
 test-faults:

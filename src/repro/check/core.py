@@ -109,7 +109,8 @@ class Finding:
 class CheckContext:
     """Everything one analysis run may look at.
 
-    ``doc`` is always present (the MDG JSON document). The richer objects
+    ``doc`` is always present (the checked JSON document; empty when a
+    constructed MPMD program is checked through ``program``). The richer objects
     are optional; passes that need one and do not find it simply yield no
     findings — the analyzer records which passes actually ran.
     """
@@ -118,7 +119,7 @@ class CheckContext:
     mdg: Any = None  # repro.graph.mdg.MDG | None
     machine: Any = None  # repro.machine.parameters.MachineParameters | None
     schedule: Any = None  # repro.scheduling.schedule.Schedule | None
-    program: Any = None  # repro.frontend.ir.LoopProgram | None
+    program: Any = None  # frontend LoopProgram (ir) or MPMDProgram (comm)
     artifact: str = "<memory>"
 
     def nodes(self) -> list[dict]:

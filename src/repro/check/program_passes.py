@@ -1,15 +1,19 @@
 """The ``comm`` pass family: static verification of MPMD programs.
 
-Eight rules over the serialized program artifact (kind
-``"mpmd_program"``), backed by the tolerant view layer and abstract
-message-passing interpreter in :mod:`repro.check.commverify`:
+Eight rules over one MPMD program: a constructed
+:class:`~repro.codegen.program.MPMDProgram` handed in by
+``check_program``, or a serialized artifact (kind ``"mpmd_program"``)
+read once by :func:`repro.codegen.serialization.parse_program`. Deadlock
+freedom is judged by the simulator's own interpreter loop
+(:meth:`repro.sim.engine.MachineSimulator.execute`), so the checker and
+the simulator cannot disagree about what a program does:
 
 * COMM001 — structural validity of the artifact itself;
 * COMM002 — every receive has its matching sends (no dropped sends);
 * COMM003 — no orphan sends, duplicate messages, or registry mismatches;
 * COMM004 — per-edge byte totals balance between senders and receivers;
-* COMM005 — abstract execution completes (deadlock-freedom), otherwise
-  the finding names the exact wait-for cycle;
+* COMM005 — execution with ideal hardware completes (deadlock-freedom),
+  otherwise the finding names the exact wait-for cycle;
 * COMM006 — stream order respects node phases (recv, compute, send) and
   the topological precedence the message edges imply;
 * COMM007 — the program agrees with its schedule (placement, widths,
@@ -26,15 +30,13 @@ downstream.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from repro.check.commverify import (
-    ProgramView,
-    abstract_execute,
-    is_program_doc,
-    view_from_doc,
-)
 from repro.check.core import CheckContext, Finding, Pass, Rule, Severity
+from repro.codegen.program import ComputeOp, MPMDProgram, RecvOp, SendOp
+from repro.codegen.serialization import is_program_doc, parse_program
+from repro.errors import DeadlockError
+from repro.sim.engine import MachineSimulator
 
 __all__ = ["PROGRAM_PASSES"]
 
@@ -146,16 +148,79 @@ COMM008 = Rule(
     example="edge (a, b) moves 8192 bytes but every send has byte_cost 0",
 )
 
-_VIEW_ATTR = "_comm_program_view"
+Edge = tuple[str, str]
+_PARSED_ATTR = "_comm_parsed"
 
 
-def _view(ctx: CheckContext) -> ProgramView:
-    """The parsed program view, cached on the context instance."""
-    view = getattr(ctx, _VIEW_ATTR, None)
-    if view is None:
-        view = view_from_doc(ctx.doc)
-        setattr(ctx, _VIEW_ATTR, view)
-    return view
+class _Parsed(NamedTuple):
+    """The program under check, as every comm pass reads it."""
+
+    program: MPMDProgram
+    problems: list[tuple[str, str]]  # (JSON path, message), COMM001's findings
+    indices: dict[Edge, int]  # edge -> its entry in the document's edges list
+    edges: list[Edge]  # every edge named anywhere: registries or message ops
+
+    def location(self, edge: Edge) -> str:
+        """JSON path of the edge's registry entry, or the document root."""
+        index = self.indices.get(edge)
+        return f"$.edges[{index}]" if index is not None else "$"
+
+
+def _parsed(ctx: CheckContext) -> _Parsed | None:
+    """The program in ``ctx`` (``None`` if it holds none), parsed once for
+    all passes: cached on the context."""
+    parsed = getattr(ctx, _PARSED_ATTR, None)
+    if parsed is None:
+        if isinstance(ctx.program, MPMDProgram):
+            program, problems = ctx.program, []
+            # The edge order program_to_dict would write.
+            indexed = sorted(program.senders.keys() | program.receivers.keys())
+        elif is_program_doc(ctx.doc):
+            program, problems = parse_program(ctx.doc)
+            indexed = list(program.senders)  # the document's entry order
+        else:
+            return None
+        named = program.senders.keys() | program.receivers.keys()
+        named |= {op.edge for _, op in _message_ops(program)}
+        parsed = _Parsed(
+            program, problems, {e: i for i, e in enumerate(indexed)}, sorted(named)
+        )
+        setattr(ctx, _PARSED_ATTR, parsed)
+    return parsed
+
+
+def _valid(ctx: CheckContext) -> _Parsed | None:
+    """The parsed program when it is structurally valid (COMM002+)."""
+    parsed = _parsed(ctx)
+    return parsed if parsed and not parsed.problems else None
+
+
+def _message_ops(program: MPMDProgram):
+    """All (processor, send-or-recv op) pairs, processor-major."""
+    return (
+        (proc, op)
+        for proc, op in program.instructions()
+        if not isinstance(op, ComputeOp)
+    )
+
+
+#: Per op class: its kind name and its phase in a node's block.
+_KIND = {RecvOp: "recv", ComputeOp: "compute", SendOp: "send"}
+_PHASE = {RecvOp: 0, ComputeOp: 1, SendOp: 2}
+
+
+def _block_node(op) -> str:
+    """The node whose codegen block ``op`` belongs to: sends are emitted by
+    their source node's block, receives by their target node's block."""
+    if isinstance(op, ComputeOp):
+        return op.node
+    return op.source if isinstance(op, SendOp) else op.target
+
+
+def _describe(op) -> str:
+    if isinstance(op, ComputeOp):
+        return f"compute {op.node!r}"
+    return f"{_KIND[type(op)]} {op.source}->{op.target}"
 
 
 def _edge_name(edge: tuple[str, str]) -> str:
@@ -174,10 +239,8 @@ class ProgramStructurePass(Pass):
     rules = (COMM001,)
 
     def run(self, ctx: CheckContext) -> Iterable[Finding]:
-        if not is_program_doc(ctx.doc):
-            return
-        view = _view(ctx)
-        for location, message in view.problems:
+        parsed = _parsed(ctx)
+        for location, message in parsed[1] if parsed else ():
             yield self.finding(COMM001, message, location, ctx)
 
 
@@ -189,37 +252,39 @@ class MessageMatchingPass(Pass):
     rules = (COMM002, COMM003, COMM004)
 
     def run(self, ctx: CheckContext) -> Iterable[Finding]:
-        if not is_program_doc(ctx.doc):
+        valid = _valid(ctx)
+        if valid is None:
             return
-        view = _view(ctx)
-        if not view.ok:
-            return
+        program = valid.program
+        registered = program.senders.keys() | program.receivers.keys()
 
         # Per-edge tallies: which processor posts/receives how often.
-        sends: dict[tuple[str, str], dict[int, int]] = {}
-        recvs: dict[tuple[str, str], dict[int, int]] = {}
-        sent_bytes: dict[tuple[str, str], float] = {}
-        recv_bytes: dict[tuple[str, str], float] = {}
-        for proc, _, op in view.message_ops():
-            table = sends if op.kind == "send" else recvs
-            per_proc = table.setdefault(op.edge, {})
+        sends: dict[Edge, dict[int, int]] = {}
+        recvs: dict[Edge, dict[int, int]] = {}
+        sent_bytes: dict[Edge, float] = {}
+        recv_bytes: dict[Edge, float] = {}
+        for proc, op in _message_ops(program):
+            is_send = isinstance(op, SendOp)
+            per_proc = (sends if is_send else recvs).setdefault(op.edge, {})
             per_proc[proc] = per_proc.get(proc, 0) + 1
-            totals = sent_bytes if op.kind == "send" else recv_bytes
-            totals[op.edge] = totals.get(op.edge, 0.0) + op.payload_bytes
+            if is_send:
+                sent_bytes[op.edge] = sent_bytes.get(op.edge, 0.0) + op.bytes_sent
+            else:
+                recv_bytes[op.edge] = recv_bytes.get(op.edge, 0.0) + op.bytes_received
 
-        for edge in view.edges():
-            loc = view.edge_location(edge)
+        for edge in valid.edges:
+            loc = valid.location(edge)
             name = _edge_name(edge)
             edge_sends = sends.get(edge, {})
             edge_recvs = recvs.get(edge, {})
 
             # COMM002 — dropped / missing sends.
-            for proc in view.senders.get(edge, ()):
+            for proc in program.senders.get(edge, ()):
                 if edge_sends.get(proc, 0) == 0:
                     yield self.finding(
                         COMM002,
                         f"edge {name}: registered sender proc {proc} posts no "
-                        f"send — its {len(view.receivers.get(edge, ()))} "
+                        f"send — its {len(program.receivers.get(edge, ()))} "
                         "registered receiver(s) would block forever",
                         loc,
                         ctx,
@@ -242,10 +307,11 @@ class MessageMatchingPass(Pass):
                     loc,
                     ctx,
                 )
-            for label, table, registry in (
-                ("send", edge_sends, view.senders.get(edge)),
-                ("recv", edge_recvs, view.receivers.get(edge)),
+            for label, table, registries in (
+                ("send", edge_sends, program.senders),
+                ("recv", edge_recvs, program.receivers),
             ):
+                registry = registries.get(edge, ()) if edge in registered else None
                 for proc, count in sorted(table.items()):
                     if count > 1:
                         yield self.finding(
@@ -264,7 +330,7 @@ class MessageMatchingPass(Pass):
                             loc,
                             ctx,
                         )
-            for proc in view.receivers.get(edge, ()):
+            for proc in program.receivers.get(edge, ()):
                 if edge_recvs.get(proc, 0) == 0:
                     yield self.finding(
                         COMM003,
@@ -273,7 +339,7 @@ class MessageMatchingPass(Pass):
                         loc,
                         ctx,
                     )
-            if edge not in view.senders and (edge_sends or edge_recvs):
+            if edge not in registered and (edge_sends or edge_recvs):
                 yield self.finding(
                     COMM003,
                     f"edge {name}: message ops present but the edge has no "
@@ -297,21 +363,21 @@ class MessageMatchingPass(Pass):
 
 
 class DeadlockPass(Pass):
-    """COMM005: abstract execution reaches completion."""
+    """COMM005: the simulator's loop runs the program to completion."""
 
     name = "comm.deadlock"
     family = "comm"
     rules = (COMM005,)
 
     def run(self, ctx: CheckContext) -> Iterable[Finding]:
-        if not is_program_doc(ctx.doc):
+        valid = _valid(ctx)
+        if valid is None:
             return
-        view = _view(ctx)
-        if not view.ok:
+        try:
+            MachineSimulator().execute(valid.program, record_trace=False)
             return
-        result = abstract_execute(view)
-        if result.completed:
-            return
+        except DeadlockError as exc:
+            result = exc
         if result.wait_cycle:
             chain = " -> ".join(b.describe() for b in result.wait_cycle)
             first = result.wait_cycle[0]
@@ -347,23 +413,21 @@ class StreamOrderPass(Pass):
     rules = (COMM006,)
 
     def run(self, ctx: CheckContext) -> Iterable[Finding]:
-        if not is_program_doc(ctx.doc):
+        valid = _valid(ctx)
+        if valid is None:
             return
-        view = _view(ctx)
-        if not view.ok:
-            return
+        program = valid.program
 
         # Phase order inside each node's block: recvs, one compute, sends.
-        _PHASE = {"recv": 0, "compute": 1, "send": 2}
-        for proc in sorted(view.streams):
+        for proc in sorted(program.streams):
             state: dict[str, int] = {}  # node -> highest phase seen
             computed: dict[str, int] = {}  # node -> compute count
-            for index, op in enumerate(view.streams[proc]):
-                node = op.block_node
-                phase = _PHASE[op.kind]
+            for index, op in enumerate(program.streams[proc]):
+                node = _block_node(op)
+                phase = _PHASE[type(op)]
                 prev = state.get(node, -1)
                 loc = f"$.streams.{proc}[{index}]"
-                if op.kind == "compute":
+                if isinstance(op, ComputeOp):
                     computed[node] = computed.get(node, 0) + 1
                     if computed[node] > 1:
                         yield self.finding(
@@ -376,7 +440,7 @@ class StreamOrderPass(Pass):
                 if phase < prev:
                     yield self.finding(
                         COMM006,
-                        f"proc {proc}: {op.describe()} at instruction {index} "
+                        f"proc {proc}: {_describe(op)} at instruction {index} "
                         f"comes after node {node!r}'s "
                         f"{'compute' if prev == 1 else 'send'} phase — "
                         "block order must be recv, compute, send",
@@ -387,7 +451,7 @@ class StreamOrderPass(Pass):
 
         # Topological precedence over the edge DAG the messages imply.
         succ: dict[str, set[str]] = {}
-        for source, target in view.edges():
+        for source, target in valid.edges:
             succ.setdefault(source, set()).add(target)
 
         reach_cache: dict[str, set[str]] = {}
@@ -407,11 +471,11 @@ class StreamOrderPass(Pass):
             reach_cache[start] = seen
             return seen
 
-        for proc in sorted(view.streams):
+        for proc in sorted(program.streams):
             computes = [
                 (index, op.node)
-                for index, op in enumerate(view.streams[proc])
-                if op.kind == "compute"
+                for index, op in enumerate(program.streams[proc])
+                if isinstance(op, ComputeOp)
             ]
             for k, (index, node) in enumerate(computes):
                 downstream = reachable(node)
@@ -436,21 +500,19 @@ class ScheduleConsistencyPass(Pass):
     rules = (COMM007,)
 
     def run(self, ctx: CheckContext) -> Iterable[Finding]:
-        if not is_program_doc(ctx.doc) or ctx.schedule is None:
+        valid = _valid(ctx)
+        if valid is None or ctx.schedule is None:
             return
-        view = _view(ctx)
-        if not view.ok:
-            return
+        program = valid.program
         schedule = ctx.schedule
 
         placements: dict[str, set[int]] = {}
-        for proc in sorted(view.streams):
-            for op in view.streams[proc]:
-                if op.kind == "compute":
-                    placements.setdefault(op.node, set()).add(proc)
+        for proc, op in program.instructions():
+            if isinstance(op, ComputeOp):
+                placements.setdefault(op.node, set()).add(proc)
 
         entries = getattr(schedule, "entries", {})
-        allocation = view.info.get("allocation")
+        allocation = program.info.get("allocation")
         for name in sorted(entries):
             entry = entries[name]
             scheduled = set(entry.processors)
@@ -484,11 +546,11 @@ class ScheduleConsistencyPass(Pass):
             )
 
         # Per-stream compute order must follow schedule start times.
-        for proc in sorted(view.streams):
+        for proc in sorted(program.streams):
             last_start = None
             last_name = None
-            for index, op in enumerate(view.streams[proc]):
-                if op.kind != "compute" or op.node not in entries:
+            for index, op in enumerate(program.streams[proc]):
+                if not isinstance(op, ComputeOp) or op.node not in entries:
                     continue
                 start = entries[op.node].start
                 if last_start is not None and start < last_start - 1e-9:
@@ -511,19 +573,18 @@ class CostReconciliationPass(Pass):
     rules = (COMM008,)
 
     def run(self, ctx: CheckContext) -> Iterable[Finding]:
-        if not is_program_doc(ctx.doc) or ctx.mdg is None:
+        valid = _valid(ctx)
+        if valid is None or ctx.mdg is None:
             return
-        view = _view(ctx)
-        if not view.ok:
-            return
+        program = valid.program
 
-        sent_bytes: dict[tuple[str, str], float] = {}
-        byte_costs: dict[tuple[str, str], float] = {}
-        for _, _, op in view.message_ops():
+        sent_bytes: dict[Edge, float] = {}
+        byte_costs: dict[Edge, float] = {}
+        for _, op in _message_ops(program):
             sent_bytes.setdefault(op.edge, 0.0)
             byte_costs.setdefault(op.edge, 0.0)
-            if op.kind == "send":
-                sent_bytes[op.edge] += op.payload_bytes
+            if isinstance(op, SendOp):
+                sent_bytes[op.edge] += op.bytes_sent
             byte_costs[op.edge] += op.byte_cost
 
         transfer = getattr(ctx.machine, "transfer", None)
@@ -531,7 +592,7 @@ class CostReconciliationPass(Pass):
             getattr(transfer, "t_ps", 0.0) > 0 or getattr(transfer, "t_pr", 0.0) > 0
         )
 
-        program_edges = set(view.edges())
+        program_edges = set(valid.edges)
         mdg_edges: set[tuple[str, str]] = set()
         for edge in ctx.mdg.edges():
             key = (edge.source, edge.target)
@@ -544,7 +605,7 @@ class CostReconciliationPass(Pass):
                     f"MDG edge {name} ({expected:g} byte(s)) has no messages "
                     "in the program — even zero-byte edges need a "
                     "synchronization message to enforce precedence",
-                    view.edge_location(key),
+                    valid.location(key),
                     ctx,
                 )
                 continue
@@ -554,7 +615,7 @@ class CostReconciliationPass(Pass):
                     COMM008,
                     f"edge {name}: program sends {actual:g} byte(s) but the "
                     f"MDG's transfers total {expected:g} byte(s)",
-                    view.edge_location(key),
+                    valid.location(key),
                     ctx,
                 )
             if expected > 0 and prices_bytes and byte_costs.get(key, 0.0) == 0.0:
@@ -563,14 +624,14 @@ class CostReconciliationPass(Pass):
                     f"edge {name} moves {expected:g} byte(s) but every "
                     "message op carries zero per-byte cost while the machine "
                     "prices bytes — communication has become silently free",
-                    view.edge_location(key),
+                    valid.location(key),
                     ctx,
                 )
         for key in sorted(program_edges - mdg_edges):
             yield self.finding(
                 COMM008,
                 f"program edge {_edge_name(key)} does not exist in the MDG",
-                view.edge_location(key),
+                valid.location(key),
                 ctx,
             )
 

@@ -120,22 +120,23 @@ def check_program(
 ) -> CheckReport:
     """Run the comm family over one MPMD program (object or document).
 
-    ``schedule``/``mdg``/``machine`` unlock the cross-artifact rules
-    (COMM007 placement/width agreement, COMM008 cost-model byte
-    reconciliation); without them only the intra-program rules run.
+    A constructed program is checked as it is; a document is parsed once
+    by the passes. ``schedule``/``mdg``/``machine`` unlock the
+    cross-artifact rules (COMM007 placement/width agreement, COMM008
+    cost-model byte reconciliation); without them only the intra-program
+    rules run.
     """
     if isinstance(program_or_doc, dict):
-        doc = program_or_doc
+        doc, program = program_or_doc, None
     else:
-        from repro.codegen.serialization import program_to_dict
-
-        doc = program_to_dict(program_or_doc)
+        doc, program = {}, program_or_doc
         if mdg is None and schedule is not None:
             mdg = getattr(schedule, "mdg", None)
     analyzer = Analyzer(passes_for_families(("comm",)))
     return analyzer.run(
         CheckContext(
             doc=doc,
+            program=program,
             mdg=mdg,
             machine=machine,
             schedule=schedule,

@@ -87,7 +87,28 @@ class SimulationError(ReproError):
 
 
 class DeadlockError(SimulationError):
-    """The simulated program can make no further progress."""
+    """The simulated program can make no further progress.
+
+    :attr:`blocked` holds one :class:`repro.sim.engine.BlockedAt` per
+    stalled processor, :attr:`wait_cycle` the first wait-for cycle among
+    them (empty for a dropped send), and :attr:`executed` how many of the
+    :attr:`total` instructions ran.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        blocked: tuple = (),
+        wait_cycle: tuple = (),
+        executed: int = 0,
+        total: int = 0,
+    ):
+        super().__init__(message)
+        self.blocked = tuple(blocked)
+        self.wait_cycle = tuple(wait_cycle)
+        self.executed = executed
+        self.total = total
 
 
 class DistributionError(ReproError):

@@ -16,10 +16,12 @@ The lifecycle:
     the stage straight from the lease.
 ``expiry → reclaim``
     A worker that dies stops heartbeating; once ``expires_at`` passes,
-    any other worker may *reclaim* the lease (rename its own record over
-    the stale one, then read back to verify it won any race). The
-    ``attempt`` counter survives reclaims, which is what lets the chaos
-    harness inject a fault on attempt 1 exactly once.
+    any other worker may *reclaim* the lease: it hard-links its record to
+    a marker keyed by the job, the new attempt and the stale record's
+    nonce, and only the worker whose link succeeds renames its record
+    over the stale one. The ``attempt`` counter survives reclaims, which
+    is what lets the chaos harness inject a fault on attempt 1 exactly
+    once.
 ``release``
     On completion the record is rewritten as ``state: "released"`` rather
     than deleted: the tombstone preserves the attempt counter (a later
@@ -204,10 +206,9 @@ class LeaseManager:
         """Try to take ownership of ``job_id``; ``None`` on conflict.
 
         Fresh jobs are claimed with an atomic hard link (create-if-absent);
-        expired or released leases are *reclaimed* by renaming over the
-        stale record and verifying, by read-back, that this claim won any
-        concurrent reclaim race. The returned record's ``attempt`` counts
-        prior ownerships plus one.
+        expired or released leases are *reclaimed* by one too, to a marker
+        unique to the stale record, before renaming over it. The returned
+        record's ``attempt`` counts prior ownerships plus one.
         """
         path = self.path_for(job_id)
         existing = self.read(job_id)
@@ -241,13 +242,20 @@ class LeaseManager:
             return None
 
         # Released tombstone or expired lease: reclaim with attempt + 1.
+        # Of all workers that read this stale record, one links the marker.
         record = self._record(job_id, attempt=existing.attempt + 1, ttl=ttl)
+        marker = path.with_name(
+            f"{path.stem}.{record.attempt}.{lease_key(existing.nonce)}.reclaim"
+        )
         tmp = self._write_tmp(record)
         try:
+            os.link(tmp, marker)  # FileExistsError: another reclaim won
             os.replace(tmp, path)
-        except OSError:
+        except OSError as exc:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+            if isinstance(exc, FileExistsError):
+                self._bump("conflict", job_id)
             return None
         current = self.read(job_id)
         if current is None or current.nonce != record.nonce:

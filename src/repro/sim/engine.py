@@ -13,8 +13,11 @@ Progress is driven by a worklist sweep: repeatedly advance every processor
 as far as it can go; if a full sweep advances nothing and instructions
 remain, the program has deadlocked (only possible for hand-built programs —
 generated ones are deadlock-free by construction, which a test asserts).
-The raised :class:`~repro.errors.DeadlockError` lists, per stalled
-processor, exactly which node and message tag it is waiting on.
+The raised :class:`~repro.errors.DeadlockError` carries every stalled
+receive and the first wait-for cycle among them (processors and
+instruction indices). This loop is the only MPMD interpreter: the comm
+check family's deadlock rule (COMM005) runs programs through it too, via
+:meth:`MachineSimulator.execute`, which skips ``validate()``.
 
 Fidelity
 --------
@@ -58,6 +61,7 @@ import numpy as np
 
 from repro import obs
 from repro.obs.prof import HOT_PREFIX as _HOT_PREFIX
+from repro.codegen.pretty import program_summary
 from repro.codegen.program import ComputeOp, MPMDProgram, RecvOp, SendOp
 from repro.errors import DeadlockError, SimulationError
 from repro.faults.injector import FaultInjector, FaultSession
@@ -66,7 +70,7 @@ from repro.machine.fidelity import HardwareFidelity
 from repro.resilience.deadline import check_deadline
 from repro.sim.trace import ExecutionTrace, TraceEvent
 
-__all__ = ["MachineSimulator", "SimulationResult"]
+__all__ = ["MachineSimulator", "SimulationResult", "BlockedAt"]
 
 
 @dataclass
@@ -112,43 +116,100 @@ class _ProcessorState:
         self.rng = np.random.default_rng((seed, proc))
 
 
-def _stall_context(
-    procs: list[int],
-    state: dict[int, "_ProcessorState"],
+@dataclass(frozen=True)
+class BlockedAt:
+    """One processor stuck at one receive when a run stops progressing."""
+
+    processor: int
+    index: int
+    edge: tuple[str, str]
+    #: Processors whose outstanding sends this receive is waiting for
+    #: (empty when every expected sender already finished without posting
+    #: — a dropped send rather than a cycle).
+    waiting_on: tuple[int, ...]
+
+    def describe(self) -> str:
+        return (
+            f"proc {self.processor} at instruction {self.index} "
+            f"(recv {self.edge[0]}->{self.edge[1]})"
+        )
+
+
+def _wait_cycle(by_proc: dict[int, BlockedAt]) -> tuple[BlockedAt, ...]:
+    """The first cycle (DFS from the lowest processor) in the wait-for graph.
+
+    A blocked processor waits for every blocked processor that still holds
+    a send it needs.
+    """
+    stack: list[int] = []
+    done: set[int] = set()
+
+    def visit(p: int) -> tuple[int, ...]:
+        stack.append(p)
+        for q in by_proc[p].waiting_on:
+            if q in stack:
+                return tuple(stack[stack.index(q) :])
+            if q in by_proc and q not in done:
+                found = visit(q)
+                if found:
+                    return found
+        stack.pop()
+        done.add(p)
+        return ()
+
+    for p in sorted(by_proc):
+        found = () if p in done else visit(p)
+        if found:
+            return tuple(by_proc[q] for q in found)
+    return ()
+
+
+def _deadlock(
     program: MPMDProgram,
+    state: dict[int, "_ProcessorState"],
     pending_sends: dict[tuple[str, str], int],
+    remaining: int,
     limit: int = 8,
-) -> str:
-    """Per-processor description of what each stalled stream is waiting on."""
-    details: list[str] = []
-    for q in procs:
-        ps = state[q]
-        stream = program.streams[q]
-        if ps.pc >= len(stream):
-            continue
-        op = stream[ps.pc]
-        if isinstance(op, RecvOp):
-            waiting = pending_sends.get(op.edge, 0)
-            details.append(
-                f"proc {q}: node {op.target!r} blocked on recv tag "
-                f"{op.source}->{op.target} ({waiting} unposted send(s), "
-                f"pc={ps.pc}, t={ps.clock:.6g})"
-            )
-        elif isinstance(op, SendOp):
-            details.append(
-                f"proc {q}: node {op.source!r} stalled at send tag "
-                f"{op.source}->{op.target} (pc={ps.pc}, t={ps.clock:.6g})"
-            )
-        else:
-            node = getattr(op, "node", "?")
-            details.append(
-                f"proc {q}: node {node!r} stalled at compute "
-                f"(pc={ps.pc}, t={ps.clock:.6g})"
-            )
-    shown = "; ".join(details[:limit])
-    if len(details) > limit:
-        shown += f"; ... {len(details) - limit} more"
-    return shown
+) -> DeadlockError:
+    """The no-progress error: every stalled receive and the wait-for cycle.
+
+    Only a receive can block (computes and sends always execute), so each
+    unfinished stream is stopped at a :class:`~repro.codegen.program.RecvOp`.
+    """
+    outstanding: dict[tuple[str, str], set[int]] = {}
+    for q, ps in state.items():
+        for op in program.streams[q][ps.pc :]:
+            if isinstance(op, SendOp):
+                outstanding.setdefault(op.edge, set()).add(q)
+    by_proc: dict[int, BlockedAt] = {}
+    for q in sorted(state):
+        pc = state[q].pc
+        if pc < len(program.streams[q]):
+            edge = program.streams[q][pc].edge
+            waiting = tuple(sorted(outstanding.get(edge, set()) - {q}))
+            by_proc[q] = BlockedAt(q, pc, edge, waiting)
+    blocked = tuple(by_proc.values())
+    cycle = _wait_cycle(by_proc)
+
+    details = [
+        f"proc {b.processor}: node {b.edge[1]!r} blocked on recv tag "
+        f"{b.edge[0]}->{b.edge[1]} ({pending_sends.get(b.edge, 0)} unposted "
+        f"send(s), pc={b.index}, t={state[b.processor].clock:.6g})"
+        for b in blocked[:limit]
+    ]
+    if len(blocked) > limit:
+        details.append(f"... {len(blocked) - limit} more")
+    if cycle:
+        chain = " -> ".join(b.describe() for b in cycle + cycle[:1])
+        details.insert(0, f"wait-for cycle {chain}")
+    total = program.n_instructions
+    return DeadlockError(
+        f"no progress with {remaining} instructions left; " + "; ".join(details),
+        blocked=blocked,
+        wait_cycle=cycle,
+        executed=total - remaining,
+        total=total,
+    )
 
 
 class MachineSimulator:
@@ -177,11 +238,22 @@ class MachineSimulator:
     def run(self, program: MPMDProgram, record_trace: bool = True) -> SimulationResult:
         """Simulate ``program`` to completion (or to a fault-induced halt).
 
-        Raises :class:`DeadlockError` — with per-processor context — if no
-        processor can make progress while instructions remain and no fault
-        explains the stall.
+        ``program.validate()`` first, then :meth:`execute`. Raises
+        :class:`DeadlockError` if no processor can make progress while
+        instructions remain and no fault explains the stall.
         """
         program.validate()
+        result = self.execute(program, record_trace)
+        if obs.enabled():
+            self._record_telemetry(program, result.trace, result.makespan, record_trace)
+        return result
+
+    def execute(
+        self, program: MPMDProgram, record_trace: bool = True
+    ) -> SimulationResult:
+        """:meth:`run` without ``validate()`` or the per-run telemetry, so
+        COMM005 can judge programs ``validate()`` rejects (a dropped send).
+        """
         fidelity = self.fidelity
         procs = sorted(program.streams)
         state = {q: _ProcessorState(fidelity.seed, q) for q in procs}
@@ -205,11 +277,17 @@ class MachineSimulator:
             done_computes = dict.fromkeys(expected_computes, 0)
 
         # Per edge: number of sends still unposted, and the latest post time.
-        pending_sends: dict[tuple[str, str], int] = {}
-        post_time: dict[tuple[str, str], float] = {}
-        for edge, senders in program.senders.items():
-            pending_sends[edge] = len(senders)
-            post_time[edge] = 0.0
+        # Each registered sender posts once; a send op on an edge that no
+        # registry names counts for itself (never the case after validate()).
+        registered = program.senders.keys() | program.receivers.keys()
+        pending_sends = {
+            edge: len(program.senders.get(edge, ())) for edge in registered
+        }
+        for stream in program.streams.values():
+            for op in stream:
+                if isinstance(op, SendOp) and op.edge not in registered:
+                    pending_sends[op.edge] = pending_sends.get(op.edge, 0) + 1
+        post_time = dict.fromkeys(pending_sends, 0.0)
 
         remaining = program.n_instructions
 
@@ -366,11 +444,9 @@ class MachineSimulator:
                                 )
                             )
                         ps.clock = end
-                        if op.edge not in pending_sends:
-                            raise SimulationError(f"send on unknown edge {op.edge!r}")
                         pending_sends[op.edge] -= 1
                         post_time[op.edge] = max(post_time[op.edge], end)
-                    elif isinstance(op, ComputeOp):
+                    else:  # ComputeOp
                         serial = op.cost - op.parallel_cost
                         # Curvature applies to the part that shrank with p.
                         width = op_width(program, op.node)
@@ -444,8 +520,6 @@ class MachineSimulator:
                             done_computes[op.node] += 1
                         # A new node's messages start a fresh pipeline.
                         ps.node_msg_count[op.node] = 0
-                    else:  # pragma: no cover - the IR has exactly 3 op kinds
-                        raise SimulationError(f"unknown instruction {op!r}")
                     ps.pc += 1
                     remaining -= 1
                     progressed = True
@@ -457,10 +531,7 @@ class MachineSimulator:
                     # here and let schedule repair take over.
                     halted = True
                     break
-                raise DeadlockError(
-                    f"no progress with {remaining} instructions left; "
-                    + _stall_context(procs, state, program, pending_sends)
-                )
+                raise _deadlock(program, state, pending_sends, remaining)
         halted = halted or remaining > 0
 
         if record_trace:
@@ -500,7 +571,7 @@ class MachineSimulator:
                     time=makespan,
                 )
         if telemetry_on:
-            self._record_telemetry(program, trace, makespan, sweeps, record_trace)
+            obs.counter("sim.sweeps").inc(sweeps)
         return SimulationResult(
             makespan=makespan,
             processor_finish=finish,
@@ -514,7 +585,6 @@ class MachineSimulator:
         program: MPMDProgram,
         trace: ExecutionTrace,
         makespan: float,
-        sweeps: int,
         record_trace: bool,
     ) -> None:
         """Post-run accounting (only called when telemetry is enabled).
@@ -523,23 +593,14 @@ class MachineSimulator:
         hot execution loop stays untouched; only utilization needs the
         recorded trace (wait time is dynamic).
         """
-        sends = recvs = computes = 0
-        bytes_sent = 0.0
-        for stream in program.streams.values():
-            for op in stream:
-                if isinstance(op, SendOp):
-                    sends += 1
-                    bytes_sent += op.bytes_sent
-                elif isinstance(op, RecvOp):
-                    recvs += 1
-                else:
-                    computes += 1
+        summary = program_summary(program)
+        sends, recvs = int(summary["sends"]), int(summary["receives"])
+        computes, bytes_sent = int(summary["computes"]), summary["bytes_sent"]
         obs.counter("sim.runs").inc()
         obs.counter("sim.instructions").inc(program.n_instructions)
         obs.counter("sim.sends").inc(sends)
         obs.counter("sim.recvs").inc(recvs)
         obs.counter("sim.bytes_sent").inc(bytes_sent)
-        obs.counter("sim.sweeps").inc(sweeps)
         obs.gauge("sim.makespan").set(makespan)
         utilization = None
         if record_trace and makespan > 0.0:
@@ -555,7 +616,6 @@ class MachineSimulator:
             recvs=recvs,
             computes=computes,
             bytes_sent=bytes_sent,
-            sweeps=sweeps,
             makespan=makespan,
             utilization=utilization,
             trace_events=len(trace) if record_trace else 0,
@@ -565,6 +625,7 @@ class MachineSimulator:
 def op_width(program: MPMDProgram, node: str) -> int:
     """Processor-group width of ``node`` in ``program``'s allocation."""
     allocation = program.info.get("allocation")
-    if allocation and node in allocation:
+    try:
         return int(allocation[node])
-    return 1
+    except (LookupError, TypeError, ValueError, OverflowError):
+        return 1  # unallocated node, or junk in a hand-edited document

@@ -8,12 +8,19 @@ import json
 import pytest
 
 from repro.check import check_file, check_mdg, check_program
-from repro.check.commverify import abstract_execute, view_from_doc
-from repro.codegen.serialization import program_to_dict, save_program
-from repro.errors import CheckError
+from repro.codegen.program import ComputeOp
+from repro.codegen.serialization import (
+    load_program,
+    parse_program,
+    program_from_dict,
+    program_to_dict,
+    save_program,
+)
+from repro.errors import CheckError, CodegenError, DeadlockError
 from repro.graph.generators import paper_example_mdg
 from repro.machine.presets import cm5
 from repro.pipeline import compile_mdg, compile_spmd, run_resumable
+from repro.sim.engine import MachineSimulator
 
 
 @pytest.fixture(scope="module")
@@ -247,14 +254,21 @@ class TestCOMM005Deadlock:
         assert found
         assert any("stalled" in f.message for f in found)
 
-    def test_abstract_execution_completes_on_clean_program(self, program_doc):
-        result = abstract_execute(view_from_doc(program_doc))
-        assert result.completed
-        assert result.executed == result.total
-        assert not result.blocked
+    def test_execution_completes_on_clean_program(self, program_doc):
+        program = program_from_dict(program_doc)
+        # Completed: a stall would raise DeadlockError instead.
+        result = MachineSimulator().execute(program)
+        assert not result.halted
+        # executed == total: every message op ran (sends and receives are
+        # always traced) and every stream reached its end.
+        messages = sum(
+            not isinstance(op, ComputeOp) for _, op in program.instructions()
+        )
+        assert sum(e.kind in ("send", "recv") for e in result.trace) == messages
+        assert set(result.processor_finish) == set(program.streams)
 
-    def test_abstract_execution_reports_indices(self):
-        view = view_from_doc(
+    def test_deadlock_report_names_indices(self):
+        program, problems = parse_program(
             minimal_doc(
                 {
                     "0": [
@@ -266,8 +280,11 @@ class TestCOMM005Deadlock:
                 total=1,
             )
         )
-        result = abstract_execute(view)
-        assert not result.completed
+        assert not problems
+        with pytest.raises(DeadlockError) as excinfo:
+            MachineSimulator().execute(program)
+        result = excinfo.value
+        assert result.executed == 1 < result.total
         assert result.blocked[0].processor == 0
         assert result.blocked[0].index == 1
         assert result.blocked[0].edge == ("x", "a")
@@ -541,3 +558,111 @@ class TestIntegration:
         )
         with pytest.raises(CheckError, match="COMM"):
             compile_mdg(paper_example_mdg(), cm5(8), verify_program=True)
+
+
+def _first_op(doc, kind):
+    for key in sorted(doc["streams"]):
+        for i, op in enumerate(doc["streams"][key]):
+            if op["op"] == kind:
+                return key, i, op
+    raise AssertionError(f"no {kind} op")
+
+
+def _parallel_cost_above_cost(doc):
+    _, _, op = _first_op(doc, "compute")
+    op["parallel_cost"] = op["cost"] + 1.0
+
+
+def _duplicate_registry_id(doc):
+    doc["edges"][0]["senders"].append(doc["edges"][0]["senders"][0])
+
+
+def _out_of_range_stream(doc):
+    doc["streams"]["999"] = []
+
+
+def _unknown_op_kind(doc):
+    doc["streams"][sorted(doc["streams"])[0]].append({"op": "barrier"})
+
+
+def _bad_schema_version(doc):
+    doc["schema_version"] = 99
+
+
+def _nan_cost(doc):
+    _first_op(doc, "compute")[2]["cost"] = float("nan")
+
+
+def _dropped_send(doc):
+    key, i, _ = _first_op(doc, "send")
+    doc["streams"][key].pop(i)
+
+
+class TestParserAgreement:
+    """``check_program`` and ``program_from_dict`` read documents with one
+    parser: COMM001 fires exactly when the loader refuses the document."""
+
+    @pytest.mark.parametrize(
+        "mutate, structural",
+        [
+            (None, False),
+            (_parallel_cost_above_cost, True),
+            (_duplicate_registry_id, True),
+            (_out_of_range_stream, True),
+            (_unknown_op_kind, True),
+            (_bad_schema_version, True),
+            (_nan_cost, True),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)).strip("_"),
+    )
+    def test_comm001_iff_loader_raises(self, program_doc, mutate, structural):
+        if mutate is not None:
+            mutate(program_doc)
+        comm001 = bool(findings_for(check_program(program_doc), "COMM001"))
+        try:
+            program_from_dict(program_doc)
+            raised = False
+        except CodegenError:
+            raised = True
+        assert comm001 == raised == structural
+
+    def test_semantic_breakage_is_not_structural(self, program_doc):
+        # A dropped send is COMM002's finding: the document still parses,
+        # and only validate() makes the loader refuse it.
+        _dropped_send(program_doc)
+        report = check_program(program_doc)
+        assert not findings_for(report, "COMM001")
+        assert findings_for(report, "COMM002")
+        assert not parse_program(program_doc)[1]
+
+
+class TestNonFiniteNumbers:
+    def test_nan_and_infinity_are_structural_problems(self, tmp_path, program_doc):
+        ckey, ci, compute = _first_op(program_doc, "compute")
+        rkey, ri, recv = _first_op(program_doc, "recv")
+        compute["cost"] = float("nan")
+        recv["network_delay"] = float("inf")
+        path = tmp_path / "nonfinite.prog.json"
+        path.write_text(json.dumps(program_doc))  # writes NaN / Infinity
+        assert "NaN" in path.read_text() and "Infinity" in path.read_text()
+
+        report = check_file(path)
+        found = {(f.location, f.message) for f in findings_for(report, "COMM001")}
+        assert (
+            f"$.streams.{ckey}[{ci}].cost",
+            "must be a finite number, got nan",
+        ) in found
+        assert (
+            f"$.streams.{rkey}[{ri}].network_delay",
+            "must be a finite number, got inf",
+        ) in found
+        assert rule_ids(report) == {"COMM001"}
+        with pytest.raises(CodegenError, match="finite"):
+            load_program(path)
+
+    def test_integer_too_large_for_a_float(self, program_doc):
+        key, i, send = _first_op(program_doc, "send")
+        send["bytes_sent"] = 10**400  # a JSON integer literal parses as int
+        found = findings_for(check_program(program_doc), "COMM001")
+        assert [f.location for f in found] == [f"$.streams.{key}[{i}].bytes_sent"]
+        assert "finite" in found[0].message

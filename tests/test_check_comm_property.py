@@ -20,12 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import check_program
-from repro.codegen.serialization import program_to_dict
+from repro.codegen.serialization import program_from_dict, program_to_dict
+from repro.errors import CodegenError, DeadlockError
 from repro.graph import generators
 from repro.graph.serialization import mdg_from_dict
 from repro.machine.presets import cm5
 from repro.pipeline import compile_mdg
 from repro.programs import DEFAULT_SIZES, PROGRAM_FACTORIES
+from repro.sim.engine import MachineSimulator
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "graphs"
 
@@ -236,3 +238,94 @@ def test_mutations_do_not_corrupt_base_docs():
         compilation, machine = compiled(name)
         assert base_doc(name) == program_to_dict(compilation.program)
         assert len(check_program(fresh_doc(name), machine=machine)) == 0
+
+
+# The harness's mutation classes, as functions of (document, pick), for
+# the differential property below.
+
+
+def _nth(doc, kind, k):
+    found = ops_of(doc, kind)
+    return found[k % len(found)]
+
+
+def _drop_send(doc, k):
+    key, i = _nth(doc, "send", k)
+    doc["streams"][key].pop(i)
+
+
+def _duplicate_recv(doc, k):
+    key, i = _nth(doc, "recv", k)
+    doc["streams"][key].insert(i, copy.deepcopy(doc["streams"][key][i]))
+
+
+def _skew_bytes(doc, k):
+    key, i = _nth(doc, "send", k)
+    op = doc["streams"][key][i]
+    op["bytes_sent"] += max(1.0, 0.01 * op["bytes_sent"])
+
+
+def _recv_after_compute(doc, k):
+    candidates = [
+        (key, i, j)
+        for key in sorted(doc["streams"])
+        for i, o in enumerate(doc["streams"][key])
+        if o["op"] == "recv"
+        for j in range(i + 1, len(doc["streams"][key]))
+        if doc["streams"][key][j].get("node") == o["target"]
+    ]
+    if candidates:
+        key, i, j = candidates[k % len(candidates)]
+        ops = doc["streams"][key]
+        ops.insert(j, ops.pop(i))
+
+
+def _swap_dependent_computes(doc, k):
+    edges = {(e["source"], e["target"]) for e in doc["edges"]}
+    candidates = []
+    for key in sorted(doc["streams"]):
+        computes = [
+            (i, o["node"])
+            for i, o in enumerate(doc["streams"][key])
+            if o["op"] == "compute"
+        ]
+        candidates += [
+            (key, a[0], b[0])
+            for n, a in enumerate(computes)
+            for b in computes[n + 1 :]
+            if (a[1], b[1]) in edges
+        ]
+    if candidates:
+        key, i, j = candidates[k % len(candidates)]
+        ops = doc["streams"][key]
+        ops[i], ops[j] = ops[j], ops[i]
+
+
+MUTATIONS = (
+    _drop_send,
+    _duplicate_recv,
+    _skew_bytes,
+    _recv_after_compute,
+    _swap_dependent_computes,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=pool_names, mutate=st.sampled_from(MUTATIONS), k=pick)
+def test_simulator_deadlocks_iff_comm005_fires(name, mutate, k):
+    # The checker and the simulator share one interpreter: on every mutated
+    # program the simulator accepts (validate() passes), a DeadlockError
+    # from the simulator and a COMM005 finding must go together.
+    doc = fresh_doc(name)
+    mutate(doc, k)
+    try:
+        program = program_from_dict(doc)
+    except CodegenError:
+        return  # validate() refuses it; the simulator never runs it
+    comm005 = any(f.rule_id == "COMM005" for f in check_program(doc))
+    try:
+        MachineSimulator().run(program)
+        deadlocked = False
+    except DeadlockError:
+        deadlocked = True
+    assert deadlocked == comm005

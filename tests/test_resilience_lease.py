@@ -163,6 +163,33 @@ class TestLeaseLifecycle:
         assert record is not None
         assert record.attempt == 1
 
+    def test_concurrent_reclaims_of_one_expired_lease_have_one_winner(
+        self, tmp_path
+    ):
+        # Both reclaimers read the same expired record before either
+        # writes: w2's write step first lets w3 run its whole claim, then
+        # w2 finishes its own. Only one of them may own attempt 2.
+        clock = SharedClock()
+        w1 = manager(tmp_path, "w1", clock)
+        w2 = manager(tmp_path, "w2", clock)
+        w3 = manager(tmp_path, "w3", clock)
+        w1.claim("job-a")
+        clock.advance(11.0)  # w1 died; its lease expired
+
+        won = {}
+        write_tmp = w2._write_tmp
+
+        def interleaved(record):
+            won["w3"] = w3.claim("job-a")  # w3 reads the same stale record
+            return write_tmp(record)
+
+        w2._write_tmp = interleaved
+        won["w2"] = w2.claim("job-a")
+        winners = [name for name, record in won.items() if record is not None]
+        assert len(winners) == 1
+        assert won[winners[0]].attempt == 2
+        assert w1.read("job-a").owner == winners[0]
+
     def test_leases_lists_sorted_records(self, tmp_path):
         clock = SharedClock()
         w = manager(tmp_path, "w1", clock)

@@ -141,6 +141,36 @@ class TestDeadlockDetection:
         with pytest.raises(DeadlockError, match="no progress"):
             MachineSimulator().run(program)
 
+    def test_cross_recv_deadlock_exposes_wait_cycle(self):
+        program = MPMDProgram(total_processors=2)
+        program.streams[0] = [
+            RecvOp("b", "a", 0.0, 0.0),
+            ComputeOp("a", 0.0),
+            SendOp("a", "b", 0.0, 0.0),
+        ]
+        program.streams[1] = [
+            RecvOp("a", "b", 0.0, 0.0),
+            ComputeOp("b", 0.0),
+            SendOp("b", "a", 0.0, 0.0),
+        ]
+        program.senders[("a", "b")] = (0,)
+        program.receivers[("a", "b")] = (1,)
+        program.senders[("b", "a")] = (1,)
+        program.receivers[("b", "a")] = (0,)
+        with pytest.raises(DeadlockError) as excinfo:
+            MachineSimulator().run(program)
+        error = excinfo.value
+        # Each processor is stuck at its first instruction, a receive whose
+        # only sender is the other processor.
+        cycle = [(b.processor, b.index, b.edge, b.waiting_on) for b in error.wait_cycle]
+        assert cycle == [(0, 0, ("b", "a"), (1,)), (1, 0, ("a", "b"), (0,))]
+        assert error.blocked == error.wait_cycle
+        assert (error.executed, error.total) == (0, 6)
+        assert (
+            "wait-for cycle proc 0 at instruction 0 (recv b->a) -> "
+            "proc 1 at instruction 0 (recv a->b) -> proc 0 at instruction 0"
+        ) in str(error)
+
 
 class TestTrace:
     def test_event_validation(self):
