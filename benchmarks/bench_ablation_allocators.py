@@ -17,7 +17,6 @@ from repro.allocation.baselines import (
     spmd_allocation,
     uniform_allocation,
 )
-from repro.allocation.solver import ConvexSolverOptions
 from repro.batch import BatchCompiler, BatchJob
 from repro.graph.generators import layered_random_mdg
 from repro.machine.presets import cm5
@@ -47,9 +46,7 @@ def run_experiment():
     # The convex rows all go through the batch compiler — one submission,
     # per-case error isolation, and (when a cache_dir is configured by a
     # caller) structural solve reuse for free.
-    report = BatchCompiler(
-        solver_options=ConvexSolverOptions(multistart_targets=(8.0,))
-    ).run(
+    report = BatchCompiler().run(
         [
             BatchJob.from_mdg(mdg, job_id=name, machine_params=machine)
             for name, mdg in cases

@@ -16,15 +16,13 @@ import time
 import pytest
 
 from _helpers import emit
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.graph.coarsen import coarsen_mdg, expand_allocation
 from repro.graph.generators import layered_random_mdg
 from repro.machine.presets import cm5
 from repro.programs import strassen_program
 from repro.scheduling.psa import prioritized_schedule
 from repro.utils.tables import format_table
-
-SOLVER = ConvexSolverOptions(multistart_targets=(8.0,))
 
 CASES = [
     ("strassen", lambda: strassen_program(128).mdg, 8),
@@ -40,15 +38,13 @@ def run_experiment():
         mdg = factory().normalized()
 
         start = time.perf_counter()
-        direct = solve_allocation(mdg, machine, SOLVER)
+        direct = solve_allocation(mdg, machine)
         direct_seconds = time.perf_counter() - start
         t_direct = prioritized_schedule(mdg, direct.processors, machine).makespan
 
         start = time.perf_counter()
         coarsening = coarsen_mdg(mdg, target)
-        coarse_alloc = solve_allocation(
-            coarsening.coarse.normalized(), machine, SOLVER
-        )
+        coarse_alloc = solve_allocation(coarsening.coarse.normalized(), machine)
         fine = expand_allocation(
             coarsening,
             {

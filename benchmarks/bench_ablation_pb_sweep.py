@@ -18,7 +18,6 @@ import pytest
 
 from _helpers import emit
 from repro.allocation.rounding import optimal_processor_bound, theorem3_factor
-from repro.allocation.solver import ConvexSolverOptions
 from repro.batch import BatchCompiler, BatchJob
 from repro.machine.presets import cm5
 from repro.programs import strassen_program
@@ -34,7 +33,6 @@ def run_experiment():
     with tempfile.TemporaryDirectory() as cache_dir:
         report = BatchCompiler(
             cache_dir=cache_dir,
-            solver_options=ConvexSolverOptions(multistart_targets=(8.0,)),
         ).run(
             [
                 BatchJob.from_mdg(

@@ -11,7 +11,7 @@ import pytest
 
 from _helpers import emit
 from repro.allocation.rounding import round_allocation
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.costs.node_weights import MDGCostModel
 from repro.graph.generators import layered_random_mdg
 from repro.machine.presets import cm5
@@ -28,12 +28,11 @@ CASES = [
 
 def run_experiment():
     machine = cm5(32)
-    solver = ConvexSolverOptions(multistart_targets=(8.0,))
     rows = []
     for name, factory in CASES:
         mdg = factory().normalized()
         cm = MDGCostModel(mdg, machine.transfer_model())
-        allocation = solve_allocation(mdg, machine, solver)
+        allocation = solve_allocation(mdg, machine)
         continuous = allocation.processors
         rounded = round_allocation(continuous)
         a_ratio = cm.average_finish_time(rounded, 32) / cm.average_finish_time(

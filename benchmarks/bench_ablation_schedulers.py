@@ -10,7 +10,7 @@ lower bound — Theorem 1's guarantee covers all of them equally.
 import pytest
 
 from _helpers import emit
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.costs.node_weights import MDGCostModel
 from repro.graph.generators import layered_random_mdg
 from repro.machine.presets import cm5
@@ -35,11 +35,10 @@ CASES = [
 
 def run_experiment():
     machine = cm5(32)
-    solver = ConvexSolverOptions(multistart_targets=(8.0,))
     results = {}
     for case, factory in CASES:
         mdg = factory().normalized()
-        allocation = solve_allocation(mdg, machine, solver)
+        allocation = solve_allocation(mdg, machine)
         cm = MDGCostModel(mdg, machine.transfer_model())
         times = {}
         lower = None

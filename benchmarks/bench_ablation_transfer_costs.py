@@ -17,15 +17,13 @@ allocator picks wide groups whose start-up costs swamp the compute win.
 import pytest
 
 from _helpers import emit
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.costs.transfer import TransferCostParameters
 from repro.graph.generators import layered_random_mdg
 from repro.machine.presets import cm5
 from repro.programs import complex_matmul_program, fft2d_program, strassen_program
 from repro.scheduling.psa import prioritized_schedule
 from repro.utils.tables import format_table
-
-SOLVER = ConvexSolverOptions(multistart_targets=(8.0,))
 
 CASES = [
     ("complex_matmul", lambda: complex_matmul_program(64).mdg, cm5(32)),
@@ -51,8 +49,8 @@ def run_experiment():
         mdg = factory().normalized()
         blind_machine = machine.with_transfer(TransferCostParameters.zero())
 
-        aware = solve_allocation(mdg, machine, SOLVER)
-        blind = solve_allocation(mdg, blind_machine, SOLVER)
+        aware = solve_allocation(mdg, machine)
+        blind = solve_allocation(mdg, blind_machine)
 
         # Both scheduled under the TRUE cost model.
         t_aware = prioritized_schedule(

@@ -8,14 +8,12 @@ statistics (multiple rounds), unlike the one-shot experiment benches.
 
 import pytest
 
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.codegen.mpmd import generate_mpmd_program
 from repro.graph.generators import layered_random_mdg
 from repro.machine.presets import cm5
 from repro.scheduling.psa import prioritized_schedule
 from repro.sim.engine import MachineSimulator
-
-SOLVER = ConvexSolverOptions(multistart_targets=(4.0,))
 
 
 def make_graph(n_layers, width, seed=123):
@@ -29,7 +27,7 @@ def test_solver_scaling(benchmark, layers, width):
     # One warm solve per round is plenty for trend data; the solver takes
     # seconds at the largest size, so cap the rounds explicitly.
     result = benchmark.pedantic(
-        lambda: solve_allocation(mdg, machine, SOLVER), rounds=3, iterations=1
+        lambda: solve_allocation(mdg, machine), rounds=3, iterations=1
     )
     assert result.phi > 0
 

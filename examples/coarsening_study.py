@@ -17,14 +17,11 @@ Run:  python examples/coarsening_study.py
 import time
 
 from repro.allocation import solve_allocation
-from repro.allocation.solver import ConvexSolverOptions
 from repro.graph import coarsen_mdg, expand_allocation, parallelism_profile
 from repro.machine.presets import cm5
 from repro.programs import strassen_program
 from repro.scheduling import prioritized_schedule
 from repro.utils.tables import format_table
-
-SOLVER = ConvexSolverOptions(multistart_targets=(8.0,))
 
 
 def main() -> None:
@@ -35,7 +32,7 @@ def main() -> None:
 
     # --- top-down: the paper's direct convex allocation ------------------
     start = time.perf_counter()
-    direct = solve_allocation(mdg, machine, SOLVER)
+    direct = solve_allocation(mdg, machine)
     direct_seconds = time.perf_counter() - start
     t_direct = prioritized_schedule(mdg, direct.processors, machine).makespan
 
@@ -44,9 +41,7 @@ def main() -> None:
     for target in (16, 8, 4):
         start = time.perf_counter()
         coarsening = coarsen_mdg(mdg, target)
-        coarse_alloc = solve_allocation(
-            coarsening.coarse.normalized(), machine, SOLVER
-        )
+        coarse_alloc = solve_allocation(coarsening.coarse.normalized(), machine)
         fine = expand_allocation(
             coarsening,
             {

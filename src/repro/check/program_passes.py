@@ -449,7 +449,19 @@ class StreamOrderPass(Pass):
                     )
                 state[node] = max(prev, phase)
 
-        # Topological precedence over the edge DAG the messages imply.
+        # Topological precedence over the edge DAG the messages imply: a
+        # compute must not run before any of its (transitive) predecessors
+        # on the same processor.
+        computes = {
+            proc: [
+                (index, op.node)
+                for index, op in enumerate(program.streams[proc])
+                if isinstance(op, ComputeOp)
+            ]
+            for proc in sorted(program.streams)
+        }
+        if _stream_orders_agree(valid.edges, computes):
+            return
         succ: dict[str, set[str]] = {}
         for source, target in valid.edges:
             succ.setdefault(source, set()).add(target)
@@ -471,15 +483,10 @@ class StreamOrderPass(Pass):
             reach_cache[start] = seen
             return seen
 
-        for proc in sorted(program.streams):
-            computes = [
-                (index, op.node)
-                for index, op in enumerate(program.streams[proc])
-                if isinstance(op, ComputeOp)
-            ]
-            for k, (index, node) in enumerate(computes):
+        for proc, stream_computes in computes.items():
+            for k, (index, node) in enumerate(stream_computes):
                 downstream = reachable(node)
-                for earlier_index, earlier in computes[:k]:
+                for earlier_index, earlier in stream_computes[:k]:
                     if earlier in downstream:
                         yield self.finding(
                             COMM006,
@@ -490,6 +497,43 @@ class StreamOrderPass(Pass):
                             f"$.streams.{proc}[{earlier_index}]",
                             ctx,
                         )
+
+
+def _stream_orders_agree(
+    edges: Iterable[Edge], computes: dict[int, list[tuple[int, str]]]
+) -> bool:
+    """True when one topological order of the data edges also follows
+    every processor's compute order.
+
+    Then no stream can compute a node before one of its predecessors, so
+    COMM006's pairwise search (one reachability walk per node) is skipped.
+    One Kahn pass over the data edges plus each stream's consecutive
+    computes decides it in O(nodes + edges + instructions); a cycle means
+    the orders conflict somewhere, and only then is the search run.
+    """
+    succ: dict[str, list[str]] = {}
+    indegree: dict[str, int] = {}
+
+    def link(source: str, target: str) -> None:
+        succ.setdefault(source, []).append(target)
+        indegree[target] = indegree.get(target, 0) + 1
+        indegree.setdefault(source, 0)
+
+    for source, target in edges:
+        link(source, target)
+    for stream_computes in computes.values():
+        for (_, before), (_, after) in zip(stream_computes, stream_computes[1:]):
+            link(before, after)
+    ready = [node for node, degree in indegree.items() if degree == 0]
+    ordered = 0
+    while ready:
+        node = ready.pop()
+        ordered += 1
+        for nxt in succ.get(node, ()):
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                ready.append(nxt)
+    return ordered == len(indegree)
 
 
 class ScheduleConsistencyPass(Pass):

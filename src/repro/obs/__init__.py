@@ -31,9 +31,8 @@ and ``recovery.*`` (fault injection and repair), ``store.*``
 ``pipeline.postcondition`` (failed re-validation of resumed or strict
 runs), ``batch.*`` (worker-pool compilation, including per-job subtrees
 merged from worker processes — see :mod:`repro.obs.bundle`),
-``resilience.*`` (lease claims/reclaims, circuit-breaker transitions,
-worker crashes and respawns, chaos injections — see
-:mod:`repro.resilience`), and ``prof.hot.*`` (explicit hot-spot timers —
+``resilience.*`` (lease claims/reclaims, worker crashes and respawns,
+chaos injections — see :mod:`repro.resilience`), and ``prof.hot.*`` (explicit hot-spot timers —
 see :mod:`repro.obs.prof`).
 
 Analysis and export live in submodules: :mod:`repro.obs.prof` (span-tree

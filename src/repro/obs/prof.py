@@ -311,13 +311,18 @@ class ConvergenceTrace:
         vals = self._objectives()
         return vals[-1] if vals else None
 
-    @property
-    def last_kkt_gap(self) -> float | None:
+    def last(self, key: str) -> float | None:
+        """The last numeric ``key`` field of the trace's iterations."""
         for record in reversed(self.iterations):
-            gap = record.get("kkt_gap")
-            if isinstance(gap, (int, float)):
-                return float(gap)
+            value = record.get(key)
+            if isinstance(value, (int, float)):
+                return float(value)
         return None
+
+    @property
+    def last_gap(self) -> float | None:
+        """The duality gap at the last iteration."""
+        return self.last("gap")
 
 
 def convergence_traces(events: Iterable[dict]) -> list[ConvergenceTrace]:
@@ -446,21 +451,23 @@ def render_convergence(events: Sequence[dict], limit: int = 12) -> str | None:
     traces = convergence_traces(events)
     if not traces:
         return None
-    rows = []
-    for trace in traces[:limit]:
-        first = trace.first_objective
-        last = trace.last_objective
-        gap = trace.last_kkt_gap
-        rows.append(
-            (
-                trace.job if trace.job is not None else "-",
-                trace.method,
-                trace.n_iterations,
-                "-" if first is None else f"{first:.6g}",
-                "-" if last is None else f"{last:.6g}",
-                "-" if gap is None else f"{gap:.3g}",
-            )
+    def fmt(value: float | None, spec: str) -> str:
+        return "-" if value is None else format(value, spec)
+
+    rows = [
+        (
+            trace.job if trace.job is not None else "-",
+            trace.method,
+            trace.n_iterations,
+            fmt(trace.first_objective, ".6g"),
+            fmt(trace.last_objective, ".6g"),
+            fmt(trace.last_gap, ".3g"),
+            fmt(trace.last("primal_residual"), ".3g"),
+            fmt(trace.last("dual_residual"), ".3g"),
+            fmt(trace.last("step"), ".3g"),
         )
+        for trace in traces[:limit]
+    ]
     extra = (
         f"\n({len(traces) - limit} more trace(s) not shown)"
         if len(traces) > limit
@@ -469,7 +476,7 @@ def render_convergence(events: Sequence[dict], limit: int = 12) -> str | None:
     return (
         format_table(
             ["job", "method", "iters", "objective[0]", "objective[-1]",
-             "kkt gap"],
+             "gap", "primal res", "dual res", "step"],
             rows,
             title="solver convergence traces",
         )

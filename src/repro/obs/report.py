@@ -55,32 +55,21 @@ def _render_convergence(telemetry: Telemetry | NullTelemetry) -> str | None:
 def _render_resilience(telemetry: Telemetry | NullTelemetry) -> str | None:
     """Crash-tolerance summary from captured ``resilience.*`` events.
 
-    One line per event kind (lease claims/reclaims, breaker transitions,
-    worker crashes, chaos injections) so a chaotic run's recovery story
-    is visible without grepping the JSONL stream.
+    One line per event kind (lease claims/reclaims, worker crashes, chaos
+    injections) so a chaotic run's recovery story is visible without
+    grepping the JSONL stream.
     """
     events = telemetry.collected_events()
     counts: dict[str, int] = {}
-    breaker_states: dict[str, str] = {}
     for record in events:
         name = record.get("name", "")
         if not isinstance(name, str) or not name.startswith("resilience."):
             continue
         counts[name] = counts.get(name, 0) + 1
-        if name == "resilience.breaker.state":
-            breaker = record.get("breaker", "?")
-            breaker_states[breaker] = (
-                f"{record.get('from_state', '?')} -> "
-                f"{record.get('to_state', '?')}"
-            )
     if not counts:
         return None
-    lines = ["-- resilience --"]
     rows = [(name, counts[name]) for name in sorted(counts)]
-    lines.append(format_table(["event", "count"], rows))
-    for breaker, transition in sorted(breaker_states.items()):
-        lines.append(f"breaker {breaker!r}: last transition {transition}")
-    return "\n".join(lines)
+    return "\n".join(["-- resilience --", format_table(["event", "count"], rows)])
 
 
 def render_report(

@@ -8,17 +8,12 @@ pieces, composable but independently usable:
 :mod:`.deadline`
     :class:`Deadline` wall-clock budgets propagated as ambient context
     through pipeline stages (solver, PSA, simulator all check
-    cooperatively) and :class:`RetryPolicy`, the seeded
-    jittered-exponential-backoff schedule behind every retry ladder.
+    cooperatively).
 :mod:`.lease`
     :class:`LeaseManager` — atomic, expiring job-ownership records
     written through the content-addressed store, the substrate that
     turns worker death into bounded re-execution instead of lost or
     duplicated jobs.
-:mod:`.breaker`
-    :class:`CircuitBreaker` — trips after consecutive solver-backend
-    failures and short-circuits to the analytic fallback, with
-    ``resilience.breaker.*`` telemetry.
 :mod:`.chaos`
     :class:`ChaosSpec` / :class:`ChaosInjector` — deterministic, seeded
     fault injection (worker kills, lease-expiry races, artifact
@@ -31,12 +26,6 @@ pieces, composable but independently usable:
     ``repro batch --resilient``.
 """
 
-from repro.resilience.breaker import (
-    CircuitBreaker,
-    install_breaker,
-    maybe_breaker,
-    reset_breakers,
-)
 from repro.resilience.chaos import (
     ChaosInjector,
     ChaosSpec,
@@ -46,7 +35,6 @@ from repro.resilience.chaos import (
 )
 from repro.resilience.deadline import (
     Deadline,
-    RetryPolicy,
     check_deadline,
     current_deadline,
     deadline_scope,
@@ -68,7 +56,6 @@ from repro.resilience.lease import (
 
 __all__ = [
     "Deadline",
-    "RetryPolicy",
     "deadline_scope",
     "current_deadline",
     "check_deadline",
@@ -77,10 +64,6 @@ __all__ = [
     "lease_key",
     "LEASE_KIND",
     "LEASE_SCHEMA_VERSION",
-    "CircuitBreaker",
-    "install_breaker",
-    "maybe_breaker",
-    "reset_breakers",
     "ChaosSpec",
     "ChaosInjector",
     "chaos_problems",

@@ -1,21 +1,14 @@
-"""Cooperative wall-clock budgets and deterministic retry schedules.
+"""Cooperative wall-clock budgets.
 
 A :class:`Deadline` is a per-job (or per-call) wall-clock budget. It is
 *cooperative*: nothing preempts a stage, but every long-running loop in
-the pipeline — solver iteration callbacks, the PSA ready queue, the
+the pipeline — the solver's iterations, the PSA ready queue, the
 simulator event loop — periodically calls :func:`check_deadline`, which
 raises :class:`~repro.errors.DeadlineExceeded` once the budget is spent.
 The deadline travels as ambient context (a :class:`contextvars.ContextVar`
 installed by :func:`deadline_scope`), so stage code never threads a
 deadline argument through a dozen signatures, and the check is a near
 no-op (one context-variable read) when no deadline is active.
-
-:class:`RetryPolicy` is the companion: a frozen, seeded description of a
-jittered exponential-backoff schedule. It exists so every retry ladder in
-the system — solver multistart restarts, lease-claim conflicts, transient
-store errors — is driven by the same deterministic schedule instead of
-ad-hoc ``max_restarts``-style knobs, and so two runs with the same seed
-back off identically (bit-reproducibility extends to the retry path).
 """
 
 from __future__ import annotations
@@ -23,14 +16,12 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.errors import DeadlineExceeded, ValidationError
 
 __all__ = [
     "Deadline",
-    "RetryPolicy",
     "deadline_scope",
     "current_deadline",
     "check_deadline",
@@ -127,65 +118,3 @@ def check_deadline(stage: str = "") -> None:
     deadline = _CURRENT.get()
     if deadline is not None:
         deadline.check(stage)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """A deterministic jittered exponential-backoff schedule.
-
-    ``max_attempts`` counts *retries* after the initial attempt (so the
-    total number of tries is ``max_attempts + 1``). Delays grow as
-    ``base_delay * multiplier**i`` capped at ``max_delay``, each scaled by
-    a seeded multiplicative jitter in ``[1 - jitter, 1 + jitter]`` — the
-    same seed always yields the same schedule, which keeps retry timing
-    out of the reproducibility surface.
-    """
-
-    max_attempts: int = 2
-    base_delay: float = 0.0
-    max_delay: float = 30.0
-    multiplier: float = 2.0
-    jitter: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 0:
-            raise ValidationError(
-                f"max_attempts must be >= 0, got {self.max_attempts}"
-            )
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValidationError("retry delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValidationError(
-                f"backoff multiplier must be >= 1, got {self.multiplier}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValidationError(
-                f"jitter must be in [0, 1), got {self.jitter}"
-            )
-
-    def delays(self) -> tuple[float, ...]:
-        """The full backoff schedule, one delay per retry."""
-        import numpy as np
-
-        if self.max_attempts == 0:
-            return ()
-        rng = np.random.default_rng((int(self.seed), 0xBACC0FF))
-        out = []
-        for i in range(self.max_attempts):
-            delay = min(self.base_delay * self.multiplier**i, self.max_delay)
-            if self.jitter and delay > 0:
-                delay *= 1.0 + self.jitter * float(rng.uniform(-1.0, 1.0))
-            out.append(delay)
-        return tuple(out)
-
-    def sleep(self, delay: float) -> None:
-        """Sleep ``delay`` seconds, never past the ambient deadline."""
-        if delay <= 0:
-            return
-        deadline = current_deadline()
-        if deadline is not None:
-            delay = min(delay, deadline.remaining())
-            if delay <= 0:
-                return
-        time.sleep(delay)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.allocation.certificate import certify_allocation
 from repro.allocation.formulation import ConvexAllocationProblem
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.errors import SolverError
 from repro.graph.generators import (
     fork_join_mdg,
@@ -62,9 +62,7 @@ class TestCertificate:
     def test_random_graphs_certify(self, seed):
         machine = cm5(32)
         mdg = layered_random_mdg(3, 3, seed=seed).normalized()
-        allocation = solve_allocation(
-            mdg, machine, ConvexSolverOptions(multistart_targets=(8.0,))
-        )
+        allocation = solve_allocation(mdg, machine)
         problem = ConvexAllocationProblem(mdg, machine)
         cert = certify_allocation(problem, allocation)
         assert cert.is_optimal(stationarity_tol=1e-2), cert

@@ -15,13 +15,11 @@ import pytest
 
 from repro.allocation.exhaustive import exhaustive_best_allocation
 from repro.allocation.formulation import ConvexAllocationProblem
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.costs.node_weights import MDGCostModel
 from repro.costs.transfer import TransferCostParameters
 from repro.graph.generators import fork_join_mdg
 from repro.machine.parameters import MachineParameters
-
-SOLVER = ConvexSolverOptions(multistart_targets=(4.0,))
 
 
 def machine_with_tn(t_n: float) -> MachineParameters:
@@ -36,7 +34,7 @@ class TestWithZeroNetworkDelay:
     def test_phi_lower_bounds_integer_allocations(self):
         machine = machine_with_tn(0.0)
         mdg = fork_join_mdg(3, seed=4).normalized()
-        allocation = solve_allocation(mdg, machine, SOLVER)
+        allocation = solve_allocation(mdg, machine)
         oracle = exhaustive_best_allocation(mdg, machine)
         assert allocation.phi <= oracle.phi * (1 + 1e-4)
 
@@ -47,7 +45,7 @@ class TestWithPositiveNetworkDelay:
         """Phi >= the exact max(A, C) of the returned allocation."""
         machine = machine_with_tn(t_n)
         mdg = fork_join_mdg(3, seed=4).normalized()
-        allocation = solve_allocation(mdg, machine, SOLVER)
+        allocation = solve_allocation(mdg, machine)
         cm = MDGCostModel(mdg, machine.transfer_model())
         exact = cm.makespan_lower_bound(allocation.processors, 16)
         assert allocation.phi >= exact * (1 - 1e-6)
@@ -57,7 +55,7 @@ class TestWithPositiveNetworkDelay:
         geometric mean equals the max and the gap closes."""
         machine = machine_with_tn(1e-7)
         mdg = fork_join_mdg(1, seed=0).normalized()  # fork -> branch -> join
-        allocation = solve_allocation(mdg, machine, SOLVER)
+        allocation = solve_allocation(mdg, machine)
         groups = [
             allocation.processors[n]
             for n in mdg.node_names()
@@ -70,8 +68,8 @@ class TestWithPositiveNetworkDelay:
 
     def test_network_delay_raises_phi(self):
         mdg = fork_join_mdg(3, seed=4).normalized()
-        phi_free = solve_allocation(mdg, machine_with_tn(0.0), SOLVER).phi
-        phi_slow = solve_allocation(mdg, machine_with_tn(1e-7), SOLVER).phi
+        phi_free = solve_allocation(mdg, machine_with_tn(0.0)).phi
+        phi_slow = solve_allocation(mdg, machine_with_tn(1e-7)).phi
         assert phi_slow > phi_free
 
     def test_formulation_counts_network_terms(self):

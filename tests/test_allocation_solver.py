@@ -16,6 +16,7 @@ from repro.graph.generators import fork_join_mdg, paper_example_mdg
 from repro.graph.mdg import MDG
 from repro.machine.parameters import MachineParameters
 from repro.machine.presets import cm5
+from tests.corpus import CORPUS
 
 
 class TestAllocationResult:
@@ -159,17 +160,53 @@ class TestSolverGeneral:
         )
         assert total_costly <= total_free + 1e-6
 
-    def test_solver_options_methods(self, machine4):
-        mdg = paper_example_mdg().normalized()
-        for method in ("trust-constr", "slsqp"):
-            result = solve_allocation(
-                mdg, machine4, ConvexSolverOptions(method=method)
-            )
-            assert result.phi == pytest.approx(15.75, rel=5e-3)
+    def test_info_records_convergence(self, machine4):
+        result = solve_allocation(paper_example_mdg().normalized(), machine4)
+        record = result.info["solver"]
+        options = ConvexSolverOptions()
+        assert record["method"] == "interior-point"
+        assert record["status"] == "converged"
+        assert 0 < record["iterations"] < options.max_iterations
+        assert record["gap"] <= options.tolerance
+        assert record["primal_residual"] <= options.feasibility_tolerance
+        assert record["dual_residual"] <= options.feasibility_tolerance
+        assert result.info["attempts"] == [record]
+        assert result.phi == pytest.approx(15.75, rel=5e-3)
+        # Phi is exactly the solver's scaled objective in seconds.
+        problem = ConvexAllocationProblem(paper_example_mdg().normalized(), machine4)
+        assert result.phi == problem.seconds(record["phi_scaled"])
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(SolverError):
-            ConvexSolverOptions(method="genetic").resolved_methods()
+    def test_iteration_cap_raises(self, machine4):
+        with pytest.raises(SolverError, match="did not converge"):
+            solve_allocation(
+                paper_example_mdg().normalized(),
+                machine4,
+                ConvexSolverOptions(max_iterations=2),
+            )
+
+    def test_one_processor_machine_fixes_every_node(self):
+        """On P = 1 every log p is pinned to 0: all fixed, none free."""
+        machine = MachineParameters("m", 1, TransferCostParameters.zero())
+        mdg = fork_join_mdg(2, seed=3).normalized()
+        result = solve_allocation(mdg, machine)
+        assert set(result.processors.values()) == {1.0}
+        cm = MDGCostModel(mdg, machine.transfer_model())
+        assert result.phi == pytest.approx(
+            cm.makespan_lower_bound(result.processors, 1), rel=1e-9
+        )
+
+    def test_zero_cost_graph_has_zero_phi(self):
+        """Every finish time is identically zero: nothing is left to solve."""
+        from repro.costs.processing import ZeroProcessingCost
+
+        machine = MachineParameters("m", 8, TransferCostParameters.zero())
+        mdg = MDG("free")
+        mdg.add_node("a", ZeroProcessingCost())
+        mdg.add_node("b", ZeroProcessingCost())
+        mdg.add_edge("a", "b")
+        result = solve_allocation(mdg, machine)
+        assert result.phi == 0.0
+        assert result.info["solver"]["status"] == "converged"
 
     def test_info_records_solver_details(self, machine4):
         result = solve_allocation(paper_example_mdg().normalized(), machine4)
@@ -245,3 +282,69 @@ class TestExhaustive:
         assert result.phi == pytest.approx(
             max(result.average_finish_time, result.critical_path_time)
         )
+
+
+@pytest.fixture(scope="module")
+def oracle_runs():
+    """Every corpus program on cm5(8): the interior-point allocation and
+    trust-constr run directly on the problem's own constraint objects."""
+    import warnings
+
+    from scipy.optimize import minimize
+
+    machine = cm5(8)
+    runs = {}
+    for name, factory in sorted(CORPUS.items()):
+        mdg = factory().normalized()
+        problem = ConvexAllocationProblem(mdg, machine)
+        constraints = [problem.nonlinear_constraint()]
+        if problem.linear_constraint() is not None:
+            constraints.append(problem.linear_constraint())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            scipy_result = minimize(
+                problem.objective,
+                problem.initial_point(),
+                jac=problem.objective_gradient,
+                hess=problem.objective_hessian,
+                method="trust-constr",
+                bounds=problem.bounds(),
+                constraints=constraints,
+                options={
+                    "maxiter": 300,
+                    "gtol": 1e-12,
+                    "xtol": 1e-16,
+                    "barrier_tol": 1e-14,
+                    "initial_barrier_parameter": 1e-3,
+                    "sparse_jacobian": True,
+                },
+            )
+        runs[name] = (problem, solve_allocation(mdg, machine), scipy_result)
+    return runs
+
+
+class TestScipyOracle:
+    """trust-constr is the reference: its Phi may only be higher.
+
+    scipy's Phi is the exact cost ``max(A, C)`` of its allocation, so a
+    point that trust-constr leaves slightly infeasible cannot undercut the
+    optimum. When trust-constr stops early (it hits ``maxiter`` on some of
+    these programs), the oracle is looser, never the solver wrong.
+    """
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_scipy_phi_is_never_lower(self, oracle_runs, name):
+        problem, allocation, scipy_result = oracle_runs[name]
+        scipy_phi = max(
+            problem.evaluate_allocation(
+                problem.allocation_from_point(scipy_result.x)
+            )
+        )
+        assert scipy_phi >= allocation.phi * (1 - 1e-9)
+        assert scipy_phi <= allocation.phi * (1 + 1e-4)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_phi_is_the_exact_cost_of_its_allocation(self, oracle_runs, name):
+        problem, allocation, _ = oracle_runs[name]
+        exact = max(problem.evaluate_allocation(allocation.processors))
+        assert allocation.phi == pytest.approx(exact, rel=1e-9)

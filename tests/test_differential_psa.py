@@ -18,13 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocation.exhaustive import exhaustive_best_allocation
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.costs.transfer import TransferCostParameters
 from repro.graph.generators import random_mdg
 from repro.machine.parameters import MachineParameters
 from repro.scheduling.psa import prioritized_schedule
-
-SOLVER = ConvexSolverOptions(multistart_targets=(4.0,))
 
 MACHINE = MachineParameters(
     "diff4",
@@ -43,7 +41,7 @@ def test_solver_psa_agrees_with_exhaustive_oracle(n, seed, edge_probability):
     mdg = random_mdg(n, seed=seed, edge_probability=edge_probability).normalized()
 
     oracle = exhaustive_best_allocation(mdg, MACHINE)
-    solved = solve_allocation(mdg, MACHINE, SOLVER)
+    solved = solve_allocation(mdg, MACHINE)
 
     # With t_n = 0 the monomial relaxation is inert, so the continuous
     # optimum must lower-bound the best integer allocation's exact cost.
@@ -73,7 +71,7 @@ def test_oracle_makespan_never_beats_phi_on_dense_graphs(seed):
         5, seed=seed, edge_probability=0.8, transfer_probability=0.9
     ).normalized()
     oracle = exhaustive_best_allocation(mdg, MACHINE)
-    solved = solve_allocation(mdg, MACHINE, SOLVER)
+    solved = solve_allocation(mdg, MACHINE)
     assert solved.phi <= oracle.phi * (1 + 1e-4)
     schedule = prioritized_schedule(mdg, oracle.processors, MACHINE)
     schedule.validate()

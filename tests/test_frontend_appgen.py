@@ -111,16 +111,13 @@ class TestCompileLoopProgram:
         """The full miniature compiler: source -> MDG -> allocation ->
         schedule -> value execution consistent with that schedule's
         allocation."""
-        from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+        from repro.allocation.solver import solve_allocation
         from repro.machine.presets import cm5
         from repro.scheduling.psa import prioritized_schedule
 
         machine = cm5(8)
         bundle = compile_loop_program(pipeline_source())
-        allocation = solve_allocation(
-            bundle.mdg.normalized(), machine,
-            ConvexSolverOptions(multistart_targets=(2.0,)),
-        )
+        allocation = solve_allocation(bundle.mdg.normalized(), machine)
         schedule = prioritized_schedule(
             bundle.mdg, allocation.processors, machine
         )

@@ -110,16 +110,12 @@ class TestExpandAllocation:
 
     def test_expanded_allocation_schedules(self, cm5_16):
         """End-to-end: coarse convex solve -> expand -> fine PSA."""
-        from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+        from repro.allocation.solver import solve_allocation
         from repro.scheduling.psa import prioritized_schedule
 
         mdg = strassen_program(64).mdg.normalized()
         result = coarsen_mdg(mdg, 8)
-        coarse_alloc = solve_allocation(
-            result.coarse.normalized(),
-            cm5_16,
-            ConvexSolverOptions(multistart_targets=(4.0,)),
-        )
+        coarse_alloc = solve_allocation(result.coarse.normalized(), cm5_16)
         fine = expand_allocation(
             result,
             {

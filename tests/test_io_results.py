@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.errors import ValidationError
 from repro.graph.generators import fork_join_mdg
 from repro.io.results import (
@@ -21,9 +21,7 @@ from repro.scheduling.psa import prioritized_schedule
 @pytest.fixture
 def schedule(cm5_16):
     mdg = fork_join_mdg(2, seed=0).normalized()
-    allocation = solve_allocation(
-        mdg, cm5_16, ConvexSolverOptions(multistart_targets=(4.0,))
-    )
+    allocation = solve_allocation(mdg, cm5_16)
     return prioritized_schedule(mdg, allocation.processors, cm5_16)
 
 

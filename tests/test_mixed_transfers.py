@@ -9,7 +9,7 @@ the convex formulation, the PSA, codegen and the simulator.
 
 import pytest
 
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.codegen.mpmd import generate_mpmd_program
 from repro.codegen.program import RecvOp, SendOp
 from repro.costs.node_weights import MDGCostModel
@@ -92,9 +92,7 @@ class TestCostAssembly:
 class TestFullPipelineOnMixedEdges:
     def test_solver_handles_mixed_edge(self):
         mdg = mixed_edge_mdg().normalized()
-        allocation = solve_allocation(
-            mdg, MACHINE, ConvexSolverOptions(multistart_targets=(2.0,))
-        )
+        allocation = solve_allocation(mdg, MACHINE)
         assert allocation.phi > 0
         # Conservative relaxation: Phi >= exact cost at the solution.
         cm = MDGCostModel(mdg, MACHINE.transfer_model())
@@ -104,9 +102,7 @@ class TestFullPipelineOnMixedEdges:
 
     def test_schedule_and_simulate(self):
         mdg = mixed_edge_mdg().normalized()
-        allocation = solve_allocation(
-            mdg, MACHINE, ConvexSolverOptions(multistart_targets=(2.0,))
-        )
+        allocation = solve_allocation(mdg, MACHINE)
         schedule = prioritized_schedule(mdg, allocation.processors, MACHINE)
         schedule.validate(schedule.info["weights"])
         program = generate_mpmd_program(schedule, MACHINE)

@@ -30,7 +30,7 @@ def span(name, ts, dur, depth, parent=None, **attrs):
     }
 
 
-def iteration(ts, method="trust-constr", **fields):
+def iteration(ts, method="interior-point", **fields):
     return {
         "type": "event",
         "name": "solver.iteration",
@@ -166,14 +166,14 @@ class TestConvergence:
     def test_iterations_grouped_into_one_trace(self):
         events = [
             iteration(0.1, nit=1, objective=5.0),
-            iteration(0.2, nit=2, objective=3.0, kkt_gap=0.5),
-            iteration(0.3, nit=3, objective=2.5, kkt_gap=0.01),
+            iteration(0.2, nit=2, objective=3.0, gap=0.5),
+            iteration(0.3, nit=3, objective=2.5, gap=0.01),
         ]
         (trace,) = prof.convergence_traces(events)
         assert trace.n_iterations == 3
         assert trace.first_objective == 5.0
         assert trace.last_objective == 2.5
-        assert trace.last_kkt_gap == 0.01
+        assert trace.last_gap == 0.01
 
     def test_nit_reset_starts_new_trace(self):
         events = [
@@ -186,28 +186,33 @@ class TestConvergence:
 
     def test_method_and_job_changes_split_traces(self):
         events = [
-            iteration(0.1, nit=1, method="trust-constr"),
-            iteration(0.2, nit=2, method="SLSQP"),
-            iteration(0.3, nit=3, method="SLSQP", job="j1"),
+            iteration(0.1, nit=1, method="interior-point"),
+            iteration(0.2, nit=2, method="analytic"),
+            iteration(0.3, nit=3, method="analytic", job="j1"),
         ]
         traces = prof.convergence_traces(events)
         assert [(t.method, t.job) for t in traces] == [
-            ("trust-constr", None),
-            ("SLSQP", None),
-            ("SLSQP", "j1"),
+            ("interior-point", None),
+            ("analytic", None),
+            ("analytic", "j1"),
         ]
 
     def test_missing_objectives_tolerated(self):
         (trace,) = prof.convergence_traces([iteration(0.1, nit=1)])
         assert trace.first_objective is None
-        assert trace.last_kkt_gap is None
+        assert trace.last_gap is None
 
     def test_render_convergence(self):
         text = prof.render_convergence(
-            [iteration(0.1, nit=1, objective=4.0, kkt_gap=0.2, job="a")]
+            [iteration(0.1, nit=1, objective=4.0, gap=0.2, primal_residual=0.03,
+                       dual_residual=0.004, step=0.5, job="a")]
         )
         assert "solver convergence traces" in text
-        assert "trust-constr" in text
+        assert "interior-point" in text
+        for header in ("gap", "primal res", "dual res", "step"):
+            assert header in text
+        for value in ("0.2", "0.03", "0.004", "0.5"):
+            assert value in text
         assert prof.render_convergence([]) is None
 
 

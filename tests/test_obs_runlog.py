@@ -304,6 +304,31 @@ class TestObsCli:
         assert "solver convergence traces" in out
         assert "hot spot" in out
 
+    def test_report_shows_solver_convergence_columns(self, tmp_path, capsys):
+        """One traced solve: the report shows its gap, residuals and step."""
+        from repro.allocation import solve_allocation
+        from repro.graph.generators import paper_example_mdg
+        from repro.machine.presets import cm5
+
+        path = tmp_path / "solve.jsonl"
+        obs.configure(jsonl_path=str(path), memory=False)
+        try:
+            allocation = solve_allocation(paper_example_mdg(), cm5(4))
+        finally:
+            obs.shutdown()
+        events, corrupt = read_run_log(path)
+        assert corrupt == 0
+        iterations = [e for e in events if e.get("name") == "solver.iteration"]
+        assert len(iterations) == allocation.info["solver"]["iterations"] + 1
+        assert main(["obs", "report", str(path)]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("solver convergence traces"):]
+        header = table.splitlines()[2]
+        for column in ("gap", "primal res", "dual res", "step"):
+            assert column in header
+        assert "interior-point" in table
+        assert f"{allocation.info['solver']['gap']:.3g}" in table
+
 
 def test_obs_use_is_thread_scoped_enough_for_sink_sharing():
     """Many threads emitting through one Telemetry's sink stay intact."""

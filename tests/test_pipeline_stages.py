@@ -29,9 +29,7 @@ from repro.programs import complex_matmul_program
 
 #: Every solver attempt times out, so a non-strict solve returns the
 #: uniform analytic fallback.
-FALLBACK_OPTIONS = ConvexSolverOptions(
-    timeout_seconds=1e-9, max_restarts=0, strict=False
-)
+FALLBACK_OPTIONS = ConvexSolverOptions(timeout_seconds=1e-9, strict=False)
 
 
 class TestFallbackPostconditions:

@@ -112,12 +112,8 @@ class TestRecursiveProgram:
         schedule.validate(schedule.info["weights"])
 
     def test_allocates_level1(self, cm5_16):
-        from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+        from repro.allocation.solver import solve_allocation
 
         bundle = strassen_recursive_program(16, 1)
-        allocation = solve_allocation(
-            bundle.mdg.normalized(),
-            cm5_16,
-            ConvexSolverOptions(multistart_targets=(4.0,)),
-        )
+        allocation = solve_allocation(bundle.mdg.normalized(), cm5_16)
         assert allocation.phi > 0

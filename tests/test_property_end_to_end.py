@@ -3,7 +3,7 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.codegen.mpmd import generate_mpmd_program
 from repro.codegen.program import RecvOp, SendOp
 from repro.costs.transfer import TransferCostParameters
@@ -12,8 +12,6 @@ from repro.machine.fidelity import HardwareFidelity
 from repro.machine.parameters import MachineParameters
 from repro.scheduling.psa import prioritized_schedule
 from repro.sim.engine import MachineSimulator
-
-FAST_SOLVER = ConvexSolverOptions(multistart_targets=(4.0,))
 
 machines = st.builds(
     lambda p: MachineParameters(
@@ -33,7 +31,7 @@ graphs = st.builds(
 
 
 def compile_chain(mdg, machine):
-    allocation = solve_allocation(mdg, machine, FAST_SOLVER)
+    allocation = solve_allocation(mdg, machine)
     schedule = prioritized_schedule(mdg, allocation.processors, machine)
     program = generate_mpmd_program(schedule, machine)
     return schedule, program

@@ -87,12 +87,10 @@ def test_transfer_sizes_match_declarations(program):
 @given(loop_programs())
 def test_lowered_graphs_allocate(program):
     """Every random program's MDG makes it through the convex solver."""
-    from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+    from repro.allocation.solver import solve_allocation
     from repro.machine.presets import cm5
 
     mdg = lower_to_mdg(program).normalized()
-    allocation = solve_allocation(
-        mdg, cm5(8), ConvexSolverOptions(multistart_targets=(2.0,))
-    )
+    allocation = solve_allocation(mdg, cm5(8))
     assert allocation.phi > 0
     assert np.all([v >= 1.0 - 1e-9 for v in allocation.processors.values()])

@@ -11,15 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.allocation.exhaustive import exhaustive_best_allocation
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.costs.node_weights import MDGCostModel
 from repro.costs.transfer import TransferCostParameters
 from repro.graph.generators import layered_random_mdg, random_mdg
 from repro.machine.parameters import MachineParameters
 from repro.scheduling.bounds import verify_theorem1, verify_theorem3
 from repro.scheduling.psa import PSAOptions, prioritized_schedule
-
-FAST_SOLVER = ConvexSolverOptions(multistart_targets=(4.0,))
 
 machines = st.builds(
     lambda p, scale: MachineParameters(
@@ -47,7 +45,7 @@ graphs = st.builds(
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(graphs, machines)
 def test_theorem1_and_3_hold_on_random_graphs(mdg, machine):
-    allocation = solve_allocation(mdg, machine, FAST_SOLVER)
+    allocation = solve_allocation(mdg, machine)
     schedule = prioritized_schedule(mdg, allocation.processors, machine)
     r1 = verify_theorem1(schedule, machine)
     r3 = verify_theorem3(schedule, machine, allocation.phi)
@@ -59,7 +57,7 @@ def test_theorem1_and_3_hold_on_random_graphs(mdg, machine):
 @given(graphs, machines)
 def test_psa_respects_its_allocation_lower_bound(mdg, machine):
     """T_psa >= max(A_PB, C_PB): no schedule can beat its own bound."""
-    allocation = solve_allocation(mdg, machine, FAST_SOLVER)
+    allocation = solve_allocation(mdg, machine)
     schedule = prioritized_schedule(mdg, allocation.processors, machine)
     cm = MDGCostModel(mdg, machine.transfer_model())
     lower = cm.makespan_lower_bound(
@@ -80,7 +78,7 @@ def test_phi_lower_bounds_exhaustive(seed, p):
     machine = MachineParameters(
         "m", p, TransferCostParameters(1e-4, 5e-9, 8e-5, 4e-9, 0.0)
     )
-    allocation = solve_allocation(mdg, machine, FAST_SOLVER)
+    allocation = solve_allocation(mdg, machine)
     oracle = exhaustive_best_allocation(mdg, machine)
     assert allocation.phi <= oracle.phi * (1 + 1e-4)
 
@@ -90,7 +88,7 @@ def test_phi_lower_bounds_exhaustive(seed, p):
 def test_schedule_invariants_on_random_graphs(mdg, machine):
     """Validation (precedence, booking, widths, durations) never fails on
     solver+PSA output, for any random graph/machine drawn."""
-    allocation = solve_allocation(mdg, machine, FAST_SOLVER)
+    allocation = solve_allocation(mdg, machine)
     schedule = prioritized_schedule(mdg, allocation.processors, machine)
     schedule.validate(schedule.info["weights"])
     assert schedule.useful_work_area() <= (

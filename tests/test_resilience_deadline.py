@@ -1,4 +1,4 @@
-"""Deadline budgets, retry policies, and the circuit breaker.
+"""Deadline budgets.
 
 The deadline tests drive virtual clocks (no sleeping); the pipeline
 integration tests prove the ambient deadline actually cuts off each
@@ -8,22 +8,16 @@ stamped on the exception.
 
 import pytest
 
-from repro import obs
 from repro.allocation.solver import ConvexSolverOptions, solve_allocation
 from repro.errors import DeadlineExceeded, ValidationError
 from repro.graph.generators import paper_example_mdg
 from repro.machine.presets import cm5
 from repro.pipeline import compile_mdg, measure
 from repro.resilience import (
-    CircuitBreaker,
     Deadline,
-    RetryPolicy,
     check_deadline,
     current_deadline,
     deadline_scope,
-    install_breaker,
-    maybe_breaker,
-    reset_breakers,
 )
 
 
@@ -95,66 +89,6 @@ class TestDeadline:
         assert current_deadline() is None
 
 
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            RetryPolicy(max_attempts=-1)
-        with pytest.raises(ValidationError):
-            RetryPolicy(base_delay=-0.1)
-        with pytest.raises(ValidationError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValidationError):
-            RetryPolicy(jitter=1.0)
-
-    def test_delays_deterministic_per_seed(self):
-        a = RetryPolicy(max_attempts=5, base_delay=0.1, seed=7).delays()
-        b = RetryPolicy(max_attempts=5, base_delay=0.1, seed=7).delays()
-        c = RetryPolicy(max_attempts=5, base_delay=0.1, seed=8).delays()
-        assert a == b
-        assert a != c
-        assert len(a) == 5
-
-    def test_delays_grow_and_cap(self):
-        policy = RetryPolicy(
-            max_attempts=6, base_delay=1.0, max_delay=4.0,
-            multiplier=2.0, jitter=0.0,
-        )
-        assert policy.delays() == (1.0, 2.0, 4.0, 4.0, 4.0, 4.0)
-
-    def test_zero_attempts_and_zero_delay(self):
-        assert RetryPolicy(max_attempts=0).delays() == ()
-        # base_delay 0 (the legacy ladder) never jitters into nonzero.
-        assert RetryPolicy(max_attempts=3, base_delay=0.0).delays() == (
-            0.0, 0.0, 0.0,
-        )
-
-    def test_jitter_bounded(self):
-        policy = RetryPolicy(
-            max_attempts=50, base_delay=1.0, max_delay=1.0, jitter=0.25,
-        )
-        for delay in policy.delays():
-            assert 0.75 <= delay <= 1.25
-
-    def test_sleep_capped_by_ambient_deadline(self):
-        clock = FakeClock()
-        deadline = Deadline(0.01, clock=clock)
-        clock.advance(1.0)  # budget fully spent
-        with deadline_scope(deadline):
-            # Would sleep 30s; must return immediately instead.
-            RetryPolicy().sleep(30.0)
-
-    def test_solver_options_legacy_mapping(self):
-        legacy = ConvexSolverOptions(max_restarts=3, restart_seed=11)
-        policy = legacy.resolved_retry()
-        assert policy.max_attempts == 3
-        assert policy.seed == 11
-        assert policy.delays() == (0.0, 0.0, 0.0)
-        explicit = ConvexSolverOptions(
-            retry=RetryPolicy(max_attempts=1, base_delay=0.5)
-        )
-        assert explicit.resolved_retry().max_attempts == 1
-
-
 class TestPipelineDeadlines:
     """The ambient budget cuts each cooperative check point."""
 
@@ -184,9 +118,9 @@ class TestPipelineDeadlines:
                 measure(result)
         assert excinfo.value.stage == "simulate"
 
-    def test_solver_aborts_between_attempts(self):
-        """DeadlineExceeded from the solver callback is never absorbed by
-        the attempt ladder (unlike a per-attempt timeout)."""
+    def test_solver_aborts_on_spent_budget(self):
+        """DeadlineExceeded from the solver is never absorbed into the
+        analytic fallback (unlike the solver's own timeout)."""
         clock = FakeClock()
         deadline = Deadline(1.0, clock=clock)
         clock.advance(2.0)
@@ -197,127 +131,3 @@ class TestPipelineDeadlines:
                     cm5(4),
                     ConvexSolverOptions(strict=False),
                 )
-
-
-class TestCircuitBreaker:
-    def setup_method(self):
-        reset_breakers()
-
-    def teardown_method(self):
-        reset_breakers()
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            CircuitBreaker("x", failure_threshold=0)
-        with pytest.raises(ValidationError):
-            CircuitBreaker("x", reset_seconds=-1.0)
-        with pytest.raises(ValidationError):
-            CircuitBreaker("x", half_open_probes=0)
-
-    def test_trips_after_threshold(self):
-        clock = FakeClock()
-        b = CircuitBreaker("t", failure_threshold=3, clock=clock)
-        assert b.state == "closed"
-        for _ in range(2):
-            b.record_failure()
-        assert b.state == "closed"
-        assert b.allow()
-        b.record_failure()
-        assert b.state == "open"
-        assert not b.allow()
-
-    def test_success_resets_consecutive_count(self):
-        b = CircuitBreaker("t", failure_threshold=2, clock=FakeClock())
-        b.record_failure()
-        b.record_success()
-        b.record_failure()
-        assert b.state == "closed"
-
-    def test_half_open_probe_then_close(self):
-        clock = FakeClock()
-        b = CircuitBreaker(
-            "t", failure_threshold=1, reset_seconds=10.0, clock=clock
-        )
-        b.record_failure()
-        assert not b.allow()
-        clock.advance(10.0)
-        assert b.state == "half-open"
-        assert b.allow()       # reserves the single probe slot
-        assert not b.allow()   # no second probe
-        b.record_success()
-        assert b.state == "closed"
-        assert b.allow()
-
-    def test_half_open_failure_reopens(self):
-        clock = FakeClock()
-        b = CircuitBreaker(
-            "t", failure_threshold=1, reset_seconds=10.0, clock=clock
-        )
-        b.record_failure()
-        clock.advance(10.0)
-        assert b.allow()
-        b.record_failure()
-        assert b.state == "open"
-        assert not b.allow()
-
-    def test_registry_is_opt_in(self):
-        assert maybe_breaker("solver") is None
-        installed = install_breaker("solver", failure_threshold=2)
-        assert maybe_breaker("solver") is installed
-        reset_breakers()
-        assert maybe_breaker("solver") is None
-
-    def test_open_breaker_short_circuits_solver(self):
-        clock = FakeClock()
-        breaker = install_breaker(
-            "solver", failure_threshold=1, reset_seconds=3600.0, clock=clock
-        )
-        breaker.record_failure()
-        assert breaker.state == "open"
-        allocation = solve_allocation(paper_example_mdg().normalized(), cm5(4))
-        assert allocation.info["fallback"] is True
-        assert allocation.info["solver"]["method"] == "analytic-fallback"
-        assert allocation.info["attempts"][0]["error"] == "circuit-open"
-        # Every processor count is feasible on the machine.
-        assert all(1.0 <= v <= 4.0 for v in allocation.processors.values())
-
-    def test_closed_breaker_records_solver_success(self):
-        breaker = install_breaker("solver", failure_threshold=1)
-        allocation = solve_allocation(paper_example_mdg().normalized(), cm5(4))
-        assert not allocation.info.get("fallback")
-        assert breaker.state == "closed"
-
-    def test_transitions_emit_telemetry(self):
-        clock = FakeClock()
-        telemetry = obs.configure(memory=True)
-        try:
-            b = CircuitBreaker(
-                "probe", failure_threshold=1, reset_seconds=1.0, clock=clock
-            )
-            b.record_failure()       # closed -> open
-            assert not b.allow()     # short-circuit event
-            clock.advance(1.0)
-            assert b.allow()         # open -> half-open, probe
-            b.record_success()       # half-open -> closed
-            events = [
-                e for e in telemetry.collected_events()
-                if e.get("name", "").startswith("resilience.breaker.")
-            ]
-            counters = {
-                c.name: c.value for c in telemetry.metrics.counters.values()
-            }
-        finally:
-            obs.shutdown()
-        states = [
-            (e["from_state"], e["to_state"])
-            for e in events
-            if e["name"] == "resilience.breaker.state"
-        ]
-        assert states == [
-            ("closed", "open"),
-            ("open", "half-open"),
-            ("half-open", "closed"),
-        ]
-        assert counters.get("resilience.breaker.trip") == 1
-        assert counters.get("resilience.breaker.short_circuit") == 1
-        assert counters.get("resilience.breaker.reset") == 1

@@ -64,14 +64,12 @@ class TestLocalityAccounting:
     def test_schedule_placement_end_to_end(self, cm5_16):
         """Feed the PSA's actual processor assignments into the executor:
         the schedule's processor reuse shows up as locality."""
-        from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+        from repro.allocation.solver import solve_allocation
         from repro.scheduling.psa import prioritized_schedule
 
         bundle = reduction_tree_program(levels=2, n=16)
         mdg = bundle.mdg.normalized()
-        allocation = solve_allocation(
-            mdg, cm5_16, ConvexSolverOptions(multistart_targets=(4.0,))
-        )
+        allocation = solve_allocation(mdg, cm5_16)
         schedule = prioritized_schedule(mdg, allocation.processors, cm5_16)
         groups = {}
         placement = {}

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.graph.generators import fork_join_mdg, layered_random_mdg, paper_example_mdg
 from repro.scheduling.psa import PSAOptions, prioritized_schedule
 from repro.scheduling.variants import eft_schedule, hlfet_schedule
-
-SOLVER = ConvexSolverOptions(multistart_targets=(4.0,))
 
 
 @pytest.fixture(params=[hlfet_schedule, eft_schedule])
@@ -18,14 +16,14 @@ def variant(request):
 class TestVariantsProduceValidSchedules:
     def test_validates(self, variant, cm5_16):
         mdg = layered_random_mdg(3, 3, seed=9).normalized()
-        allocation = solve_allocation(mdg, cm5_16, SOLVER)
+        allocation = solve_allocation(mdg, cm5_16)
         schedule = variant(mdg, allocation.processors, cm5_16)
         schedule.validate(schedule.info["weights"])
         assert schedule.is_complete
 
     def test_algorithm_labelled(self, cm5_16):
         mdg = fork_join_mdg(2, seed=0).normalized()
-        allocation = solve_allocation(mdg, cm5_16, SOLVER)
+        allocation = solve_allocation(mdg, cm5_16)
         assert (
             hlfet_schedule(mdg, allocation.processors, cm5_16).info["algorithm"]
             == "HLFET"
@@ -37,7 +35,7 @@ class TestVariantsProduceValidSchedules:
 
     def test_deterministic(self, variant, cm5_16):
         mdg = layered_random_mdg(3, 3, seed=13).normalized()
-        allocation = solve_allocation(mdg, cm5_16, SOLVER)
+        allocation = solve_allocation(mdg, cm5_16)
         s1 = variant(mdg, allocation.processors, cm5_16)
         s2 = variant(mdg, allocation.processors, cm5_16)
         assert s1.makespan == s2.makespan
@@ -56,7 +54,7 @@ class TestVariantsProduceValidSchedules:
         """Variants share the rounding/bounding steps: identical
         allocations after preprocessing."""
         mdg = layered_random_mdg(3, 2, seed=21).normalized()
-        allocation = solve_allocation(mdg, cm5_16, SOLVER)
+        allocation = solve_allocation(mdg, cm5_16)
         psa = prioritized_schedule(mdg, allocation.processors, cm5_16)
         alt = variant(mdg, allocation.processors, cm5_16)
         assert psa.info["allocation"] == alt.info["allocation"]
@@ -68,7 +66,7 @@ class TestVariantQuality:
         from repro.costs.node_weights import MDGCostModel
 
         mdg = layered_random_mdg(4, 3, seed=33).normalized()
-        allocation = solve_allocation(mdg, cm5_16, SOLVER)
+        allocation = solve_allocation(mdg, cm5_16)
         cm = MDGCostModel(mdg, cm5_16.transfer_model())
         for scheduler in (prioritized_schedule, hlfet_schedule, eft_schedule):
             schedule = scheduler(mdg, allocation.processors, cm5_16)
@@ -79,7 +77,7 @@ class TestVariantQuality:
         """On moderate graphs the three priority rules stay within 2x of
         each other — they differ in constants, not asymptotics."""
         mdg = layered_random_mdg(4, 4, seed=44).normalized()
-        allocation = solve_allocation(mdg, cm5_16, SOLVER)
+        allocation = solve_allocation(mdg, cm5_16)
         times = {
             s.__name__: s(mdg, allocation.processors, cm5_16).makespan
             for s in (prioritized_schedule, hlfet_schedule, eft_schedule)
@@ -89,7 +87,7 @@ class TestVariantQuality:
     def test_identical_on_motivating_example(self, machine4):
         """Tiny graph, one obvious schedule: all rules agree."""
         mdg = paper_example_mdg().normalized()
-        allocation = solve_allocation(mdg, machine4, SOLVER)
+        allocation = solve_allocation(mdg, machine4)
         options = PSAOptions(processor_bound="machine")
         makespans = {
             s(mdg, allocation.processors, machine4, options).makespan

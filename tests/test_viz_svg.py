@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.allocation.solver import ConvexSolverOptions, solve_allocation
+from repro.allocation.solver import solve_allocation
 from repro.errors import ValidationError
 from repro.graph.generators import paper_example_mdg
 from repro.scheduling.psa import PSAOptions, prioritized_schedule
@@ -13,9 +13,7 @@ from repro.viz.svg import save_schedule_svg, schedule_svg
 @pytest.fixture
 def schedule(machine4):
     mdg = paper_example_mdg().normalized()
-    allocation = solve_allocation(
-        mdg, machine4, ConvexSolverOptions(multistart_targets=(2.0,))
-    )
+    allocation = solve_allocation(mdg, machine4)
     return prioritized_schedule(
         mdg, allocation.processors, machine4, PSAOptions(processor_bound="machine")
     )
