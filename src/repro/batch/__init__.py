@@ -2,8 +2,7 @@
 
 Runs many pipeline jobs (compile -> allocate -> schedule -> optionally
 simulate) through a process pool, with a structural solve cache (exact
-convex-program reuse, re-certified through the KKT check) and warm-start
-reuse between layout-neighbor programs. See
+convex-program reuse, re-certified through the KKT check). See
 :class:`~repro.batch.compiler.BatchCompiler` for the executor and
 :mod:`repro.batch.jobs` for the manifest format.
 """
@@ -16,12 +15,7 @@ from repro.batch.jobs import (
     load_manifest,
     manifest_problems,
 )
-from repro.batch.structural import (
-    layout_key,
-    layout_signature,
-    structural_key,
-    structural_signature,
-)
+from repro.batch.structural import structural_key, structural_signature
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -29,8 +23,6 @@ __all__ = [
     "BatchJob",
     "BatchReport",
     "JobResult",
-    "layout_key",
-    "layout_signature",
     "load_manifest",
     "manifest_problems",
     "structural_key",

@@ -139,16 +139,20 @@ class JobResult:
     #: reclaim in the resilient executor).
     attempt: int = 1
     cache: str = "off"
-    warm_start: bool = False
     solver_iterations: int = -1
     solver_attempts: int = -1
     latency_seconds: float = 0.0
     structural_key: str = ""
-    layout_key: str = ""
     #: Telemetry captured inside the worker (see :mod:`repro.obs.bundle`);
     #: the compiler merges it into the parent telemetry and then drops it
     #: so batch reports stay small. None when telemetry was disabled.
     obs_bundle: dict[str, Any] | None = None
+
+    @property
+    def warm_start(self) -> bool:
+        """Always ``False``: every miss is a cold solve. Read by the
+        benchmark harness (``perfbench/workloads.py``) to class jobs."""
+        return False
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -163,12 +167,10 @@ class JobResult:
             "measured_makespan": self.measured_makespan,
             "processors": dict(self.processors),
             "cache": self.cache,
-            "warm_start": self.warm_start,
             "solver_iterations": self.solver_iterations,
             "solver_attempts": self.solver_attempts,
             "latency_seconds": self.latency_seconds,
             "structural_key": self.structural_key,
-            "layout_key": self.layout_key,
             "obs_bundle": self.obs_bundle,
         }
 

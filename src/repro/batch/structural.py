@@ -9,13 +9,7 @@ machine parameters. Node *names* are deliberately excluded — the
 variable order, so an isomorphic graph with renamed nodes compiles to the
 same arrays and can reuse a finished solution by position.
 
-Two jobs are *layout neighbors* when they share everything structural
-except the term coefficients — the same graph shape and variable layout
-under different ``tau``/``alpha`` scaling. A neighbor's optimum is not
-reusable verbatim, but it is an excellent warm start: the solver begins
-near the new optimum instead of at a uniform multistart target.
-
-Both identities hash the *scaled* program (every
+The identity hashes the *scaled* program (every
 :class:`~repro.allocation.formulation.ConvexAllocationProblem` normalizes
 times by its own serial estimate), so solutions are stored in scale-free
 form — log-processor counts and a scaled objective — and converted back
@@ -29,12 +23,7 @@ import numpy as np
 from repro.allocation.formulation import ConvexAllocationProblem
 from repro.store.artifact import content_hash
 
-__all__ = [
-    "structural_signature",
-    "structural_key",
-    "layout_signature",
-    "layout_key",
-]
+__all__ = ["structural_signature", "structural_key"]
 
 
 def _array(a: np.ndarray) -> list:
@@ -42,12 +31,14 @@ def _array(a: np.ndarray) -> list:
     return np.asarray(a).tolist()
 
 
-def layout_signature(problem: ConvexAllocationProblem) -> dict:
-    """Everything structural about ``problem`` except term coefficients.
+def structural_signature(problem: ConvexAllocationProblem) -> dict:
+    """The exact program: its layout, wiring, bounds and every coefficient.
 
-    Jobs sharing this signature have identical variable layouts and
-    constraint wiring; only the posynomial coefficients (the ``tau`` /
-    ``alpha`` / transfer-cost scaling) differ.
+    Coefficients are hashed in scaled space (post ``time_scale``
+    normalization), so two graphs whose costs differ only by a global
+    constant factor hash identically — their optima coincide after
+    rescaling, which is exactly what the scale-free stored solution
+    exploits.
     """
     lin = problem.linear_constraint()
     bounds = problem.bounds()
@@ -70,28 +61,10 @@ def layout_signature(problem: ConvexAllocationProblem) -> dict:
         "n_sources": len(problem._source_list),
         "n_sinks": len(problem._sink_list),
         "processors": problem.machine.processors,
+        "term_coefficients": _array(problem._bt_coeffs),
     }
-
-
-def structural_signature(problem: ConvexAllocationProblem) -> dict:
-    """The exact program: layout signature plus every coefficient.
-
-    Coefficients are hashed in scaled space (post ``time_scale``
-    normalization), so two graphs whose costs differ only by a global
-    constant factor hash identically — their optima coincide after
-    rescaling, which is exactly what the scale-free stored solution
-    exploits.
-    """
-    signature = layout_signature(problem)
-    signature["term_coefficients"] = _array(problem._bt_coeffs)
-    return signature
 
 
 def structural_key(problem: ConvexAllocationProblem) -> str:
     """SHA-256 cache key for exact structural solve reuse."""
     return content_hash(structural_signature(problem))
-
-
-def layout_key(problem: ConvexAllocationProblem) -> str:
-    """SHA-256 cache key for warm-start neighbor lookup."""
-    return content_hash(layout_signature(problem))

@@ -56,7 +56,9 @@ __all__ = [
 ]
 
 RESULT_KIND = "batch-result"
-BATCH_RESULT_VERSION = 1
+#: Version 2 records carry no ``warm_start`` / ``layout_key``; version 1
+#: results left in a cache directory are quarantined and their jobs re-run.
+BATCH_RESULT_VERSION = 2
 
 _EXEC_LOG_DIR = "exec-log"
 
